@@ -417,7 +417,7 @@ def cmd_train(cfg: dict, args) -> int:
     blob = checkpoint.with_suffix(".bin")
     _write_manifest(out_dir, "train", cfg,
                     [checkpoint, blob, history_path])
-    print(f"trained on {len(dataset.samples)} samples; "
+    print(f"trained on {len(dataset)} samples; "
           f"checkpoint at {checkpoint}")
     return 0
 
@@ -476,8 +476,8 @@ def cmd_infer(cfg: dict, args) -> int:
     pairs = _pairs(cfg)
     epochs, _ = pipeline.preprocess_recording(recording, pairs,
                                               **_preprocess_args(cfg))
-    predictions = {channel: training.infer_channel(model, tensors)
-                   for channel, tensors in epochs.items()}
+    predictions = {channel: training.infer_channel(model, x, valid)
+                   for channel, (x, valid) in epochs.items()}
     threshold, window, weight_map = _sst_params(cfg)
     probs = sst.ProbSeries.from_predictions(predictions)
     trace = sst.compute_sst(probs,

@@ -1,30 +1,25 @@
 """Signal conditioning: band-pass, resampling, artifact scan, segmentation.
 
-The preprocessing order is fixed and asserted: scan raw minutes for
-artifacts first (amplitude and flatness limits apply to the unfiltered
-signal), then band-pass, then resample to the working rate, then cut
-1-minute epochs.
+The preprocessing order is fixed: scan raw minutes for artifacts first
+(amplitude and flatness limits apply to the unfiltered signal), then
+band-pass, then resample to the working rate, then cut 1-minute epochs.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 from scipy import signal
 
-from .errors import (ConfigError, InvalidEpoch, NyquistViolation,
-                     ShapeMismatch, TooShortSignal)
+from .errors import (ConfigError, NyquistViolation, ShapeMismatch,
+                     TooShortSignal)
+from .labels import EPOCH_S
 
 TARGET_FS = 64.0
-EPOCH_S = 60.0
 EPOCH_SAMPLES = 3840  # 60 s at 64 Hz
-
-PIPELINE_STAGES = ("artifact_scan", "bandpass", "resample", "segment")
 
 
 @dataclass(frozen=True)
@@ -53,29 +48,11 @@ class ArtifactConfig:
     flat_run_s: float = 1.0
 
 
-@dataclass
-class EpochTensor:
-    """One 1-minute single-channel epoch at the working rate."""
-
-    samples: np.ndarray
-    channel: str
-    epoch_index: int
-    valid: bool = True
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float32)
-        if self.samples.shape != (EPOCH_SAMPLES,):
-            raise InvalidEpoch(
-                f"epoch needs {EPOCH_SAMPLES} samples, got "
-                f"{self.samples.shape}")
-
-
 @dataclass(frozen=True)
 class PreprocessReport:
     channel: str
     n_epochs: int
     rejected: tuple[int, ...]
-    stages: tuple[str, ...]
 
 
 def design_butter_bandpass(low_hz: float = 0.5, high_hz: float = 30.0,
@@ -167,7 +144,6 @@ def resample(x: np.ndarray, fs_in: float, fs_out: float) -> np.ndarray:
 def _window_is_artifact(x: np.ndarray, fs: float,
                         cfg: ArtifactConfig) -> bool:
     """Amplitude or flatness violation inside one window of raw signal."""
-    x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         return True
     if np.max(np.abs(x)) > cfg.amp_limit_uv:
@@ -187,96 +163,61 @@ def _window_is_artifact(x: np.ndarray, fs: float,
     return longest >= run_limit
 
 
-def reject_artifacts(epoch: EpochTensor, cfg: ArtifactConfig) -> bool:
-    """True when a working-rate epoch violates the artifact limits."""
-    return _window_is_artifact(epoch.samples, TARGET_FS, cfg)
-
-
-def segment_epochs(x: np.ndarray, channel: str, fs: float = TARGET_FS,
-                   valid: list[bool] | None = None) -> list[EpochTensor]:
-    """Cut a working-rate signal into 1-minute epochs; a trailing partial
-    minute is dropped."""
-    if abs(fs - TARGET_FS) > 1e-9:
-        raise ConfigError(
-            f"segmentation works at {TARGET_FS} Hz, got {fs} Hz")
+def segment_epochs(x: np.ndarray, valid: list[bool] | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a working-rate signal into 1-minute epochs: an (n_epochs,
+    EPOCH_SAMPLES) float32 array and its bool validity mask, all True
+    unless flags are given. A trailing partial minute is dropped."""
     x = np.asarray(x, dtype=np.float64)
     n_epochs = x.size // EPOCH_SAMPLES
-    if valid is not None and len(valid) < n_epochs:
+    if valid is None:
+        mask = np.ones(n_epochs, dtype=bool)
+    elif len(valid) < n_epochs:
         raise ShapeMismatch(
             f"{len(valid)} validity flags for {n_epochs} epochs")
-    epochs = []
-    for i in range(n_epochs):
-        chunk = x[i * EPOCH_SAMPLES:(i + 1) * EPOCH_SAMPLES]
-        ok = True if valid is None else bool(valid[i])
-        epochs.append(EpochTensor(samples=chunk, channel=channel,
-                                  epoch_index=i, valid=ok))
-    return epochs
+    else:
+        mask = np.array(valid[:n_epochs], dtype=bool)
+    epochs = x[:n_epochs * EPOCH_SAMPLES].reshape(n_epochs, EPOCH_SAMPLES)
+    return epochs.astype(np.float32), mask
 
 
 def preprocess_channel(samples: np.ndarray, fs_in: float, channel: str,
                        low_hz: float = 0.5, high_hz: float = 30.0,
                        order: int = 4,
                        artifact: ArtifactConfig = ArtifactConfig(),
-                       ) -> tuple[list[EpochTensor], PreprocessReport]:
-    """Run the fixed conditioning chain on one raw channel.
+                       ) -> tuple[tuple[np.ndarray, np.ndarray],
+                                  PreprocessReport]:
+    """Run the fixed conditioning chain on one raw channel; returns the
+    epochs and their validity mask (see segment_epochs) with a report.
 
     Artifacts are scanned on the raw signal per whole minute, so amplitude
     excursions are judged before the band-pass can shrink them. Epochs
-    whose raw minute was rejected come back with valid=False.
+    whose raw minute was rejected come back invalid. Non-finite raw
+    samples, which always reject their minute, are zeroed before the
+    band-pass so they cannot spread into the valid minutes around them.
     """
-    stages = []
     x = np.asarray(samples, dtype=np.float64)
-
-    stages.append("artifact_scan")
     window = int(round(EPOCH_S * fs_in))
     n_windows = x.size // window
     rejected = tuple(
         i for i in range(n_windows)
         if _window_is_artifact(x[i * window:(i + 1) * window], fs_in,
                                artifact))
+    if not np.isfinite(x).all():
+        x = np.nan_to_num(x, nan=0.0, posinf=0.0, neginf=0.0)
 
-    stages.append("bandpass")
     spec = design_butter_bandpass(low_hz=low_hz, high_hz=high_hz,
                                   order=order, fs=fs_in)
     filtered = filter_zero_phase(x, spec)
-
-    stages.append("resample")
     at_target = resample(filtered, fs_in, TARGET_FS)
 
-    stages.append("segment")
-    flags = [i not in set(rejected) for i in range(n_windows)]
-    epochs = segment_epochs(at_target, channel, TARGET_FS, valid=flags)
+    flags = np.ones(n_windows, dtype=bool)
+    flags[list(rejected)] = False
+    epochs, valid = segment_epochs(at_target, valid=flags)
     if len(epochs) != n_windows:
         raise ShapeMismatch(
             f"{n_windows} raw minutes became {len(epochs)} epochs")
 
     report = PreprocessReport(channel=channel, n_epochs=len(epochs),
-                              rejected=rejected, stages=tuple(stages))
-    assert report.stages == PIPELINE_STAGES
-    return epochs, report
-
-
-def write_epoch_dump(epoch: EpochTensor, out_dir: str | Path) -> Path:
-    """Debug dump: raw little-endian float32 plus a JSON sidecar."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{epoch.channel.replace('-', '_')}_{epoch.epoch_index:05d}"
-    raw_path = out_dir / f"{stem}.f32"
-    raw_path.write_bytes(epoch.samples.astype("<f4").tobytes())
-    sidecar = {"channel": epoch.channel, "epoch_index": epoch.epoch_index,
-               "fs": TARGET_FS, "n": EPOCH_SAMPLES, "valid": epoch.valid}
-    (out_dir / f"{stem}.json").write_text(
-        json.dumps(sidecar, sort_keys=True) + "\n")
-    return raw_path
-
-
-def read_epoch_dump(raw_path: str | Path) -> EpochTensor:
-    raw_path = Path(raw_path)
-    meta = json.loads(raw_path.with_suffix(".json").read_text())
-    samples = np.frombuffer(raw_path.read_bytes(), dtype="<f4")
-    if samples.size != meta["n"]:
-        raise ShapeMismatch(
-            f"{raw_path}: {samples.size} samples, sidecar says {meta['n']}")
-    return EpochTensor(samples=samples, channel=meta["channel"],
-                       epoch_index=meta["epoch_index"],
-                       valid=bool(meta["valid"]))
+                              rejected=rejected)
+    return (epochs, valid), report

@@ -60,7 +60,7 @@ class ShapeMismatch(DataError):
 # Model / training ----------------------------------------------------------
 
 class InvalidEpoch(DataError):
-    """An epoch tensor is rejected or has the wrong sample count."""
+    """A channel's epochs do not form an (n_epochs, samples) array."""
 
 
 class ChecksumMismatch(DataError):

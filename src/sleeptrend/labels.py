@@ -2,6 +2,9 @@
 
 from enum import Enum
 
+#: Seconds of signal covered by one epoch, and so by one label.
+EPOCH_S = 60.0
+
 
 class Label(str, Enum):
     """Per-epoch sleep state. Quiet sleep is the positive class."""

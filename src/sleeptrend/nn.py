@@ -23,8 +23,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (ChecksumMismatch, ConfigError, InvalidEpoch,
-                     ShapeMismatch)
+from .errors import ChecksumMismatch, ConfigError, ShapeMismatch
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
@@ -410,16 +409,6 @@ def backward(model: Model, trace: ForwardTrace,
     return grads
 
 
-def forward_epoch(model: Model, epoch, mode: str = "infer",
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Class probabilities for one working-rate epoch."""
-    if not epoch.valid:
-        raise InvalidEpoch(
-            f"epoch {epoch.epoch_index} of {epoch.channel} was rejected")
-    x = epoch.samples[None, None, :]
-    return forward(model, x, mode=mode, rng=rng).probs[0]
-
-
 # checkpoints ---------------------------------------------------------------
 
 def _blob_entries(model: Model):
@@ -463,32 +452,36 @@ def save_checkpoint(model: Model, manifest_path: str | Path,
 
 def load_checkpoint(manifest_path: str | Path) -> tuple[Model, dict]:
     """Load and verify a checkpoint; raises ChecksumMismatch when the blob
-    does not match its manifest digest."""
+    does not match its manifest digest or the manifest is malformed."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    blob_path = manifest_path.parent / manifest["blob"]
-    blob = blob_path.read_bytes()
-    digest = hashlib.sha256(blob).hexdigest()
-    if digest != manifest["sha256"]:
-        raise ChecksumMismatch(
-            f"{blob_path} digest {digest[:12]} != manifest "
-            f"{manifest['sha256'][:12]}")
-    specs = [LayerSpec(**entry) for entry in manifest["specs"]]
-    model = build_model(specs, input_len=manifest["input_len"],
-                        in_channels=manifest["in_channels"],
-                        seed=manifest.get("seed", 0))
-    offset = 0
-    for (i, name, arr), described in zip(_blob_entries(model),
-                                         manifest["arrays"]):
-        if [i, name] != [described["layer"], described["name"]] \
-                or list(arr.shape) != described["shape"]:
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        blob_path = manifest_path.parent / manifest["blob"]
+        blob = blob_path.read_bytes()
+        digest = hashlib.sha256(blob).hexdigest()
+        if digest != manifest["sha256"]:
             raise ChecksumMismatch(
-                f"array table mismatch at layer {i} {name}")
-        size = arr.size * 4
-        data = np.frombuffer(blob[offset:offset + size], dtype="<f4")
-        model.params[i][name][...] = data.reshape(arr.shape)
-        offset += size
-    if offset != len(blob):
+                f"{blob_path} digest {digest[:12]} != manifest "
+                f"{manifest['sha256'][:12]}")
+        specs = [LayerSpec(**entry) for entry in manifest["specs"]]
+        model = build_model(specs, input_len=manifest["input_len"],
+                            in_channels=manifest["in_channels"],
+                            seed=manifest.get("seed", 0))
+        offset = 0
+        for (i, name, arr), described in zip(_blob_entries(model),
+                                             manifest["arrays"]):
+            if [i, name] != [described["layer"], described["name"]] \
+                    or list(arr.shape) != described["shape"]:
+                raise ChecksumMismatch(
+                    f"array table mismatch at layer {i} {name}")
+            size = arr.size * 4
+            data = np.frombuffer(blob[offset:offset + size], dtype="<f4")
+            model.params[i][name][...] = data.reshape(arr.shape)
+            offset += size
+        if offset != len(blob):
+            raise ChecksumMismatch(
+                f"blob has {len(blob)} bytes, arrays use {offset}")
+        return model, manifest.get("metadata", {})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ChecksumMismatch(
-            f"blob has {len(blob)} bytes, arrays use {offset}")
-    return model, manifest.get("metadata", {})
+            f"{manifest_path}: malformed manifest ({exc!r})") from exc

@@ -12,8 +12,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import dsp
-from .dsp import ArtifactConfig, EpochTensor, PreprocessReport
+from .dsp import ArtifactConfig, PreprocessReport
 from .errors import DataError
 from .recording import (AnnotationTrack, Recording, derive_bipolar,
                         epoch_labels, read_annotations, read_edf)
@@ -28,11 +30,12 @@ def preprocess_recording(recording: Recording,
                          low_hz: float = 0.5, high_hz: float = 30.0,
                          order: int = 4,
                          artifact: ArtifactConfig = ArtifactConfig(),
-                         ) -> tuple[dict[str, list[EpochTensor]],
+                         ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]],
                                     dict[str, PreprocessReport]]:
-    """Derive bipolar channels and run the conditioning chain on each."""
+    """Derive bipolar channels and run the conditioning chain on each;
+    every channel maps to its epoch array and validity mask."""
     bipolar = derive_bipolar(recording, [tuple(p) for p in pairs])
-    epochs: dict[str, list[EpochTensor]] = {}
+    epochs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     reports: dict[str, PreprocessReport] = {}
     for ch in bipolar.channels:
         epochs[ch.label], reports[ch.label] = dsp.preprocess_channel(
@@ -55,7 +58,7 @@ def assemble_subject(recording: Recording,
     epochs, _ = preprocess_recording(recording, pairs, low_hz=low_hz,
                                      high_hz=high_hz, order=order,
                                      artifact=artifact)
-    counts = {len(tensors) for tensors in epochs.values()}
+    counts = {len(x) for x, _ in epochs.values()}
     if len(counts) != 1:
         raise DataError(f"subject {recording.subject_id}: channels "
                         f"disagree on epoch count {sorted(counts)}")

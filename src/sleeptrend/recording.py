@@ -17,9 +17,7 @@ import numpy as np
 from . import edf
 from .errors import (DataError, MissingChannel, NegativeDuration,
                      OverlappingIntervals)
-from .labels import Label
-
-EPOCH_S = 60.0
+from .labels import EPOCH_S, Label
 
 
 @dataclass

@@ -21,9 +21,8 @@ import numpy as np
 
 from . import dsp
 from .errors import ConfigError, EvenWindow, LengthMismatch, ShapeMismatch
-from .labels import GAP, Label
+from .labels import EPOCH_S, GAP, Label
 
-EPOCH_S = 60.0
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_WINDOW = 5
 
@@ -245,7 +244,8 @@ def write_sst_csv(trace: SstTrace, path: str | Path) -> None:
 
 
 def read_sst_csv(path: str | Path) -> SstTrace:
-    rows = list(csv.DictReader(open(path)))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     return SstTrace(
         p_mean=np.array([float(r["p_mean"]) for r in rows]),
         p_min=np.array([float(r["p_min"]) for r in rows]),

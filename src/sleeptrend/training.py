@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .dsp import EPOCH_SAMPLES, EpochTensor
-from .errors import (ConfigError, DataError, LengthMismatch, MissingChannel,
-                     SingleClassDataset, TooFewSubjects)
+from .dsp import EPOCH_SAMPLES
+from .errors import (ConfigError, DataError, InvalidEpoch, LengthMismatch,
+                     MissingChannel, SingleClassDataset, TooFewSubjects)
 from .labels import Label
 
 # class order of the softmax head: probs[1] is the quiet-sleep probability
@@ -126,52 +126,38 @@ class PlateauSchedule:
 
 
 @dataclass(frozen=True)
-class Sample:
-    epoch: EpochTensor
-    label: Label
-    subject_id: str
-    expert_id: str
+class Dataset:
+    """Training rows as parallel arrays: `x` holds the (n, EPOCH_SAMPLES)
+    float32 epochs, `y` their class indices into CLASSES, and `keys` a
+    record array naming each row's (subject, epoch, channel, expert)."""
 
-    @property
-    def group(self) -> tuple[str, int]:
-        return (self.subject_id, self.epoch.epoch_index)
-
-    @property
-    def key(self) -> tuple[str, int, str, str]:
-        return (self.subject_id, self.epoch.epoch_index,
-                self.epoch.channel, self.expert_id)
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    samples: tuple[Sample, ...]
-    class_counts: dict[Label, int]
+    x: np.ndarray
+    y: np.ndarray
+    keys: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.y)
 
 
 @dataclass
 class SubjectData:
-    """Preprocessed material for one subject: per-channel epoch tensors
-    plus per-expert epoch labels, all indexed by minute."""
+    """Preprocessed material for one subject: per channel, an
+    (n_epochs, EPOCH_SAMPLES) float32 epoch array with its bool validity
+    mask, plus per-expert epoch labels, all indexed by minute."""
 
     subject_id: str
-    epochs: dict[str, list[EpochTensor]]
+    epochs: dict[str, tuple[np.ndarray, np.ndarray]]
     labels: dict[str, list[Label]]
     n_epochs: int
 
     def __post_init__(self):
-        for channel, tensors in self.epochs.items():
-            if len(tensors) != self.n_epochs:
-                raise LengthMismatch(
-                    f"{self.subject_id} {channel}: {len(tensors)} epochs, "
-                    f"expected {self.n_epochs}")
-            for i, tensor in enumerate(tensors):
-                if tensor.epoch_index != i:
-                    raise DataError(
-                        f"{self.subject_id} {channel}: epoch list not "
-                        f"densely indexed at {i}")
+        for channel, (x, valid) in self.epochs.items():
+            if x.shape != (self.n_epochs, EPOCH_SAMPLES) \
+                    or valid.shape != (self.n_epochs,):
+                raise InvalidEpoch(
+                    f"{self.subject_id} {channel}: epochs {x.shape} with "
+                    f"mask {valid.shape}, expected ({self.n_epochs}, "
+                    f"{EPOCH_SAMPLES})")
         for expert, track in self.labels.items():
             if len(track) != self.n_epochs:
                 raise LengthMismatch(
@@ -179,83 +165,101 @@ class SubjectData:
                     f"labels, expected {self.n_epochs}")
 
 
-def build_dataset(subjects: Sequence[SubjectData],
-                  channels: Sequence[str] | None = None) -> LabeledDataset:
-    """One sample per (valid epoch, expert) pair with a usable label, so
-    expert disagreements contribute one sample of each class.
+def _row_keys(subject_id: str, epoch: np.ndarray, channel: str,
+              expert: np.ndarray) -> np.ndarray:
+    n = len(epoch)
+    return np.rec.fromarrays(
+        [np.full(n, subject_id), epoch, np.full(n, channel), expert],
+        names=("subject", "epoch", "channel", "expert"))
 
-    With an explicit channel list only those channels contribute samples;
+
+def build_dataset(subjects: Sequence[SubjectData],
+                  channels: Sequence[str] | None = None) -> Dataset:
+    """One row per (valid epoch, expert) pair with a usable label, so
+    expert disagreements contribute one row of each class. Rows run in
+    subject, channel, epoch, expert order.
+
+    With an explicit channel list only those channels contribute rows;
     every listed channel must exist in every subject.
     """
-    samples: list[Sample] = []
-    counts = {Label.QS: 0, Label.AS: 0}
+    xs = [np.empty((0, EPOCH_SAMPLES), dtype=np.float32)]
+    ys = [np.empty(0, dtype=np.int64)]
+    keys = [_row_keys("", np.empty(0, dtype=np.int64), "",
+                      np.empty(0, dtype=str))]
     for subject in subjects:
         if channels is not None:
             missing = sorted(set(channels) - set(subject.epochs))
             if missing:
                 raise MissingChannel(
                     f"subject {subject.subject_id}: no channel(s) {missing}")
+        experts = np.array(sorted(subject.labels), dtype=str)
+        # class index per (epoch, expert), -1 where the label is excluded
+        codes = np.array([[CLASS_INDEX.get(label, -1)
+                           for label in subject.labels[expert]]
+                          for expert in experts], dtype=np.int64)
+        codes = codes.reshape(len(experts), subject.n_epochs).T
         for channel in sorted(channels if channels is not None
                               else subject.epochs):
-            for tensor in subject.epochs[channel]:
-                if not tensor.valid:
-                    continue
-                for expert in sorted(subject.labels):
-                    label = subject.labels[expert][tensor.epoch_index]
-                    if label is Label.EXCLUDED:
-                        continue
-                    samples.append(Sample(tensor, label,
-                                          subject.subject_id, expert))
-                    counts[label] += 1
-    return LabeledDataset(samples=tuple(samples), class_counts=counts)
+            x, valid = subject.epochs[channel]
+            epoch, expert = np.nonzero(valid[:, None] & (codes >= 0))
+            xs.append(x[epoch])
+            ys.append(codes[epoch, expert])
+            keys.append(_row_keys(subject.subject_id, epoch, channel,
+                                  experts[expert]))
+    return Dataset(x=np.concatenate(xs), y=np.concatenate(ys),
+                   keys=np.concatenate(keys))
 
 
-def dataset_arrays(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([s.epoch.samples for s in dataset.samples])[:, None, :]
-    y = np.array([CLASS_INDEX[s.label] for s in dataset.samples],
-                 dtype=np.int64)
-    return x, y
+def dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The network input (n, 1, EPOCH_SAMPLES), as a view, and targets."""
+    return dataset.x[:, None, :], dataset.y
 
 
-def split_train_val(dataset: LabeledDataset, fraction: float,
+def split_train_val(dataset: Dataset, fraction: float,
                     seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Grouped, stratified validation split.
 
     Groups are (subject, epoch index); a group's stratum is the sorted
     tuple of its labels, so agreement and disagreement minutes are
     sampled separately. Every stratum with at least two groups sends at
-    least one group each way.
+    least one group each way. Both index arrays list rows group by group
+    in (subject, epoch) order.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, sample in enumerate(dataset.samples):
-        groups.setdefault(sample.group, []).append(i)
-    strata: dict[tuple, list[tuple]] = {}
-    for key in sorted(groups):
-        stratum = tuple(sorted(str(dataset.samples[i].label)
-                               for i in groups[key]))
-        strata.setdefault(stratum, []).append(key)
+    groups, group = np.unique(dataset.keys[["subject", "epoch"]],
+                              return_inverse=True)
+    is_qs = dataset.y == CLASS_INDEX[Label.QS]
+    n_qs = np.bincount(group[is_qs], minlength=len(groups))
+    n_as = np.bincount(group[~is_qs], minlength=len(groups))
+
+    def stratum(counts: tuple[int, int]) -> tuple[str, ...]:
+        return tuple(sorted([str(Label.AS)] * counts[0]
+                            + [str(Label.QS)] * counts[1]))
 
     rng = np.random.default_rng([seed, 101])
-    val_keys: set = set()
-    for stratum in sorted(strata):
-        keys = strata[stratum]
-        n = len(keys)
+    in_val = np.zeros(len(groups), dtype=bool)
+    for counts in sorted(set(zip(n_as.tolist(), n_qs.tolist())),
+                         key=stratum):
+        members = np.flatnonzero((n_as == counts[0]) & (n_qs == counts[1]))
+        n = len(members)
         if n < 2:
             continue
         want = int(round(fraction * n))
         want = max(1, min(n - 1, want))
         order = rng.permutation(n)
-        val_keys.update(keys[j] for j in order[:want])
+        in_val[members[order[:want]]] = True
 
-    train_idx, val_idx = [], []
-    for key in sorted(groups):
-        (val_idx if key in val_keys else train_idx).extend(groups[key])
-    return np.array(train_idx, dtype=np.int64), \
-        np.array(val_idx, dtype=np.int64)
+    rows = np.argsort(group, kind="stable")
+    to_val = in_val[group[rows]]
+    return rows[~to_val], rows[to_val]
 
 
 @dataclass
 class History:
+    """One training run: its inner split, as dataset rows, and the record
+    of each epoch."""
+
+    train_idx: np.ndarray
+    val_idx: np.ndarray
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     lr: list[float] = field(default_factory=list)
@@ -285,13 +289,14 @@ def _mean_val_loss(model: nn.Model, x: np.ndarray, y: np.ndarray,
     return total / len(x)
 
 
-def train(dataset: LabeledDataset, cfg: TrainConfig,
+def train(dataset: Dataset, cfg: TrainConfig,
           stop_patience: int | None = None) -> tuple[nn.Model, History]:
     """Fit the reference network, returning the parameters from the epoch
     with the best inner-validation loss."""
     if len(dataset) == 0:
         raise SingleClassDataset("empty dataset")
-    missing = [c for c in CLASSES if dataset.class_counts.get(c, 0) == 0]
+    counts = np.bincount(dataset.y, minlength=len(CLASSES))
+    missing = [c for c, n in zip(CLASSES, counts) if n == 0]
     if missing:
         raise SingleClassDataset(
             f"no {'/'.join(str(c) for c in missing)} samples in dataset")
@@ -318,7 +323,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig,
                                cfg.lr_factor)
     shuffle_rng = np.random.default_rng([cfg.seed, 11])
     dropout_rng = np.random.default_rng([cfg.seed, 12])
-    history = History()
+    history = History(train_idx=train_idx, val_idx=val_idx)
     best_params = None
 
     for epoch in range(cfg.max_epochs):
@@ -355,15 +360,15 @@ def train(dataset: LabeledDataset, cfg: TrainConfig,
     return model, history
 
 
-def infer_channel(model: nn.Model, epochs: Sequence[EpochTensor],
+def infer_channel(model: nn.Model, x: np.ndarray, valid: np.ndarray,
                   batch: int = 256) -> np.ndarray:
-    """Per-epoch quiet-sleep probability; rejected epochs come back NaN."""
-    out = np.full(len(epochs), np.nan)
-    valid = [i for i, e in enumerate(epochs) if e.valid]
-    for start in range(0, len(valid), batch):
-        rows = valid[start:start + batch]
-        x = np.stack([epochs[i].samples for i in rows])[:, None, :]
-        probs = nn.forward(model, x, mode="infer").probs
+    """Per-epoch quiet-sleep probability for an (n_epochs, EPOCH_SAMPLES)
+    array; epochs outside the validity mask come back NaN."""
+    out = np.full(len(x), np.nan)
+    valid_rows = np.flatnonzero(valid)
+    for start in range(0, len(valid_rows), batch):
+        rows = valid_rows[start:start + batch]
+        probs = nn.forward(model, x[rows, None, :], mode="infer").probs
         out[rows] = probs[:, CLASS_INDEX[Label.QS]]
     return out
 
@@ -373,10 +378,9 @@ class FoldResult:
     held_out_subject: str
     predictions: dict[str, np.ndarray]
     history: History
-    model: nn.Model
     checkpoint: Path | None
-    train_keys: tuple
-    val_keys: tuple
+    train_keys: np.ndarray  # Dataset.keys of the rows trained on
+    val_keys: np.ndarray
 
 
 def fold_seed(seed: int, subject_id: str) -> int:
@@ -393,11 +397,7 @@ def _run_fold(subject_id: str, subjects: list[SubjectData],
     dataset = build_dataset(rest, channels=train_channels)
     fold_cfg = replace(cfg, seed=fold_seed(cfg.seed, subject_id))
     model, history = train(dataset, fold_cfg, stop_patience=LOSO_PATIENCE)
-
-    train_idx, val_idx = split_train_val(dataset,
-                                         fold_cfg.inner_val_fraction,
-                                         fold_cfg.seed)
-    predictions = {channel: infer_channel(model, held_out.epochs[channel])
+    predictions = {channel: infer_channel(model, *held_out.epochs[channel])
                    for channel in sorted(held_out.epochs)}
     checkpoint = None
     if out_dir is not None:
@@ -411,10 +411,9 @@ def _run_fold(subject_id: str, subjects: list[SubjectData],
         held_out_subject=subject_id,
         predictions=predictions,
         history=history,
-        model=model,
         checkpoint=checkpoint,
-        train_keys=tuple(dataset.samples[i].key for i in train_idx),
-        val_keys=tuple(dataset.samples[i].key for i in val_idx),
+        train_keys=dataset.keys[history.train_idx],
+        val_keys=dataset.keys[history.val_idx],
     )
 
 

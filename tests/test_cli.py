@@ -4,7 +4,6 @@ byte-level reproducibility of the cross-validation outputs."""
 
 import csv
 import json
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -262,18 +261,26 @@ class TestInferCommand:
 
     def test_corrupt_checkpoint_exits_3(self, crossval_dir, data_dir,
                                         tmp_path, capsys):
-        broken = tmp_path / "broken"
-        broken.mkdir()
-        shutil.copy(crossval_dir / "fold_s01.json",
-                    broken / "fold_s01.json")
+        manifest = (crossval_dir / "fold_s01.json").read_text()
         blob = (crossval_dir / "fold_s01.bin").read_bytes()
-        (broken / "fold_s01.bin").write_bytes(blob[:-4] + b"\x00" * 4)
-        code = cli.main([
-            "infer", "--checkpoint", str(broken / "fold_s01.json"),
-            "--recording", str(data_dir / "s01.edf"),
-            "--out", str(tmp_path / "out")])
-        assert code == 3
-        assert "data error" in capsys.readouterr().err
+        no_blob_key = json.loads(manifest)
+        del no_blob_key["blob"]
+        cases = {
+            "zeroed_blob_tail": (manifest, blob[:-4] + b"\x00" * 4),
+            "bad_json": (manifest[:len(manifest) // 2], blob),
+            "no_blob_key": (json.dumps(no_blob_key), blob),
+        }
+        for name, (text, data) in cases.items():
+            broken = tmp_path / name
+            broken.mkdir()
+            (broken / "fold_s01.json").write_text(text)
+            (broken / "fold_s01.bin").write_bytes(data)
+            code = cli.main([
+                "infer", "--checkpoint", str(broken / "fold_s01.json"),
+                "--recording", str(data_dir / "s01.edf"),
+                "--out", str(tmp_path / "out")])
+            assert code == 3, name
+            assert "data error" in capsys.readouterr().err, name
 
 
 class TestEvalCommand:

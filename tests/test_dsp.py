@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from helpers import sos_gain, tone_amplitude
 
-from sleeptrend.dsp import (ArtifactConfig, EPOCH_SAMPLES, EpochTensor,
-                            PIPELINE_STAGES, TARGET_FS,
+from sleeptrend.dsp import (ArtifactConfig, EPOCH_SAMPLES,
                             design_butter_bandpass, filter_zero_phase,
-                            preprocess_channel, read_epoch_dump,
-                            reject_artifacts, resample, segment_epochs,
-                            write_epoch_dump)
+                            preprocess_channel, resample, segment_epochs)
 from sleeptrend.errors import (ConfigError, InvalidEpoch, NyquistViolation,
                                ShapeMismatch, TooShortSignal)
+from sleeptrend.training import SubjectData
 
 FS = 256.0
 
@@ -142,67 +140,75 @@ class TestResample:
 
 
 class TestArtifacts:
-    def _epoch(self, samples):
-        return EpochTensor(samples=samples, channel="F3-P3", epoch_index=0)
+    """The raw-rate scan preprocess_channel runs on each whole minute."""
+
+    MINUTE = int(FS * 60)
+
+    def _rejected(self, minute, cfg=ArtifactConfig()):
+        _, report = preprocess_channel(minute, FS, "F3-P3", artifact=cfg)
+        return report.rejected == (0,)
 
     def test_amplitude_limit_is_strict(self):
-        cfg = ArtifactConfig()
         rng = np.random.default_rng(1)
-        quiet = rng.standard_normal(EPOCH_SAMPLES)
+        quiet = rng.standard_normal(self.MINUTE)
         spike = quiet.copy()
         spike[100] = 250.5
         at_limit = quiet.copy()
         at_limit[100] = 250.0
-        assert reject_artifacts(self._epoch(spike), cfg)
-        assert not reject_artifacts(self._epoch(at_limit), cfg)
+        assert self._rejected(spike)
+        assert not self._rejected(at_limit)
 
     def test_negative_spike_rejected(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal(EPOCH_SAMPLES)
+        x = rng.standard_normal(self.MINUTE)
         x[100] = -251.0
-        assert reject_artifacts(self._epoch(x), ArtifactConfig())
+        assert self._rejected(x)
 
     def test_flat_run(self):
         cfg = ArtifactConfig(flat_run_s=1.0)
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(EPOCH_SAMPLES)
-        x[100:164] = 7.0  # exactly 1 s at 64 Hz
-        assert reject_artifacts(self._epoch(x), cfg)
-        y = rng.standard_normal(EPOCH_SAMPLES)
-        y[100:157] = 7.0  # 0.9 s
-        assert not reject_artifacts(self._epoch(y), cfg)
+        x = rng.standard_normal(self.MINUTE)
+        x[100:356] = 7.0  # exactly 1 s at 256 Hz
+        assert self._rejected(x, cfg)
+        y = rng.standard_normal(self.MINUTE)
+        y[100:330] = 7.0  # 0.9 s
+        assert not self._rejected(y, cfg)
 
     def test_all_zero_signal_is_flat(self):
-        assert reject_artifacts(self._epoch(np.zeros(EPOCH_SAMPLES)),
-                                ArtifactConfig())
+        assert self._rejected(np.zeros(self.MINUTE))
 
     def test_nan_rejected(self):
-        x = np.zeros(EPOCH_SAMPLES)
-        x[1] = 1.0
+        x = np.random.default_rng(6).standard_normal(self.MINUTE)
         x[7] = np.nan
-        assert reject_artifacts(self._epoch(x), ArtifactConfig())
+        assert self._rejected(x)
 
 
 class TestSegmentation:
     def test_epoch_count_and_trailing_drop(self):
         x = np.arange(EPOCH_SAMPLES * 3 + 100, dtype=np.float64)
-        epochs = segment_epochs(x, "F3-P3")
-        assert len(epochs) == 3
-        assert [e.epoch_index for e in epochs] == [0, 1, 2]
-        assert np.allclose(epochs[1].samples[0], EPOCH_SAMPLES)
+        epochs, valid = segment_epochs(x)
+        assert epochs.shape == (3, EPOCH_SAMPLES)
+        assert epochs.dtype == np.float32
+        assert valid.tolist() == [True, True, True]
+        assert epochs[1, 0] == EPOCH_SAMPLES
 
     def test_wrong_length_epoch_rejected(self):
+        # a subject's epoch arrays must be (n_epochs, EPOCH_SAMPLES)
         with pytest.raises(InvalidEpoch):
-            EpochTensor(samples=np.zeros(100), channel="x", epoch_index=0)
+            SubjectData(subject_id="n1",
+                        epochs={"x": (np.zeros((1, 100), np.float32),
+                                      np.ones(1, dtype=bool))},
+                        labels={}, n_epochs=1)
 
     def test_valid_flags_attached(self):
         x = np.zeros(EPOCH_SAMPLES * 2)
-        epochs = segment_epochs(x, "c", valid=[True, False])
-        assert [e.valid for e in epochs] == [True, False]
+        _, valid = segment_epochs(x, valid=[True, False])
+        assert valid.dtype == bool
+        assert valid.tolist() == [True, False]
 
     def test_flag_shortage_rejected(self):
         with pytest.raises(ShapeMismatch):
-            segment_epochs(np.zeros(EPOCH_SAMPLES * 2), "c", valid=[True])
+            segment_epochs(np.zeros(EPOCH_SAMPLES * 2), valid=[True])
 
 
 class TestPipeline:
@@ -212,12 +218,12 @@ class TestPipeline:
         x = 20.0 * rng.standard_normal(n)
         # raw amplitude artifact confined to minute 2
         x[int(FS * 135)] = 400.0
-        epochs, report = preprocess_channel(x, FS, "F3-P3")
-        assert report.stages == PIPELINE_STAGES
+        (epochs, valid), report = preprocess_channel(x, FS, "F3-P3")
         assert report.rejected == (2,)
-        assert len(epochs) == 4  # trailing partial minute dropped
-        assert [e.valid for e in epochs] == [True, True, False, True]
-        assert all(e.samples.shape == (EPOCH_SAMPLES,) for e in epochs)
+        # trailing partial minute dropped
+        assert epochs.shape == (4, EPOCH_SAMPLES)
+        assert epochs.dtype == np.float32
+        assert valid.tolist() == [True, True, False, True]
 
     def test_scan_happens_before_filtering(self):
         # a DC step of 300 uV would survive no band-pass; rejection must
@@ -226,20 +232,21 @@ class TestPipeline:
         rng = np.random.default_rng(5)
         x = 5.0 * rng.standard_normal(n)
         x[:int(FS * 60)] += 300.0
-        epochs, report = preprocess_channel(x, FS, "c")
+        (epochs, valid), report = preprocess_channel(x, FS, "c")
         assert 0 in report.rejected
-        assert not epochs[0].valid
-        # after the band-pass the dumped samples no longer exceed the limit
-        assert np.max(np.abs(epochs[0].samples)) < 250.0
+        assert not valid[0]
+        # after the band-pass the samples no longer exceed the limit
+        assert np.max(np.abs(epochs[0])) < 250.0
 
-    def test_epoch_dump_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        e = EpochTensor(samples=rng.standard_normal(EPOCH_SAMPLES)
-                        .astype(np.float32), channel="F3-P3", epoch_index=7,
-                        valid=False)
-        path = write_epoch_dump(e, tmp_path)
-        back = read_epoch_dump(path)
-        assert back.channel == e.channel
-        assert back.epoch_index == 7
-        assert back.valid is False
-        assert np.array_equal(back.samples, e.samples)
+    def test_nonfinite_samples_do_not_leak(self):
+        # one NaN rejects its own minute and must not spread through the
+        # band-pass into the valid minutes around it
+        rng = np.random.default_rng(12)
+        x = 20.0 * rng.standard_normal(int(FS * 60 * 5))
+        x[int(FS * 150)] = np.nan
+        samples = x.copy()
+        (epochs, valid), report = preprocess_channel(x, FS, "F3-P3")
+        assert report.rejected == (2,)
+        assert valid.tolist() == [True, True, False, True, True]
+        assert np.isfinite(epochs).all()
+        assert np.array_equal(x, samples, equal_nan=True)  # input untouched

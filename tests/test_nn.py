@@ -7,9 +7,8 @@ import pytest
 
 from helpers import finite_diff_grads, max_grad_rel_err
 from sleeptrend import nn
-from sleeptrend.dsp import EPOCH_SAMPLES, EpochTensor
-from sleeptrend.errors import (ChecksumMismatch, ConfigError, InvalidEpoch,
-                               ShapeMismatch)
+from sleeptrend.dsp import EPOCH_SAMPLES
+from sleeptrend.errors import ChecksumMismatch, ConfigError, ShapeMismatch
 
 
 def readout_model(specs, input_len, in_channels=1, dtype=np.float64):
@@ -397,19 +396,6 @@ class TestForwardValidation:
         model = nn.build_model(nn.reference_architecture(), EPOCH_SAMPLES)
         with pytest.raises(ConfigError):
             nn.forward(model, np.zeros((1, 1, EPOCH_SAMPLES)), mode="eval")
-
-    def test_forward_epoch(self):
-        model = nn.build_model(nn.reference_architecture(), EPOCH_SAMPLES)
-        samples = np.random.default_rng(3).standard_normal(
-            EPOCH_SAMPLES).astype(np.float32)
-        good = EpochTensor(samples=samples, channel="F3-P3", epoch_index=0)
-        probs = nn.forward_epoch(model, good)
-        assert probs.shape == (2,)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-6)
-        bad = EpochTensor(samples=samples, channel="F3-P3", epoch_index=1,
-                          valid=False)
-        with pytest.raises(InvalidEpoch):
-            nn.forward_epoch(model, bad)
 
     def test_infer_is_deterministic(self):
         model = nn.build_model(nn.reference_architecture(), EPOCH_SAMPLES,

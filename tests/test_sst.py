@@ -2,6 +2,9 @@
 with gaps, dichotomic interval detection, the amplitude-integrated
 companion trend against a rectified-sine oracle, and SVG determinism."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +292,16 @@ class TestCsv:
         for name in ("p_mean", "p_min", "p_max", "p_smoothed"):
             assert np.allclose(getattr(back, name), getattr(trace, name),
                                equal_nan=True)
+
+    def test_read_closes_its_file(self, tmp_path):
+        path = tmp_path / "sst.csv"
+        write_sst_csv(self.make_trace(), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            read_sst_csv(path)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_sst_header(self, tmp_path):
         path = tmp_path / "sst.csv"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sleeptrend import nn, training
-from sleeptrend.dsp import EPOCH_SAMPLES, EpochTensor
+from sleeptrend.dsp import EPOCH_SAMPLES
 from sleeptrend.errors import (ConfigError, DataError, LengthMismatch,
                                MissingChannel, SingleClassDataset,
                                TooFewSubjects)
@@ -19,29 +19,25 @@ from sleeptrend.training import (AdamState, PlateauSchedule, SubjectData,
                                  loso, split_train_val, train, write_history)
 
 
-def make_epoch(channel, index, rng, scale=10.0, valid=True, tone_hz=None):
+def make_epoch(rng, scale=10.0, tone_hz=None):
     t = np.arange(EPOCH_SAMPLES) / 64.0
     x = scale * rng.standard_normal(EPOCH_SAMPLES)
     if tone_hz is not None:
         x = x + 30.0 * np.sin(2.0 * np.pi * tone_hz * t)
-    return EpochTensor(samples=x.astype(np.float32), channel=channel,
-                       epoch_index=index, valid=valid)
+    return x.astype(np.float32)
 
 
 def make_subject(subject_id, labels_by_expert, rng, channels=("C1",),
                  invalid=(), tone_for_qs=False):
     n = len(next(iter(labels_by_expert.values())))
+    first = next(iter(labels_by_expert.values()))
+    valid = np.array([i not in invalid for i in range(n)])
     epochs = {}
     for channel in channels:
-        tensors = []
-        for i in range(n):
-            tone = None
-            if tone_for_qs:
-                first = next(iter(labels_by_expert.values()))
-                tone = 2.0 if first[i] is Label.QS else None
-            tensors.append(make_epoch(channel, i, rng, valid=i not in
-                                      invalid, tone_hz=tone))
-        epochs[channel] = tensors
+        x = np.stack([make_epoch(rng, tone_hz=2.0 if tone_for_qs
+                                 and first[i] is Label.QS else None)
+                      for i in range(n)])
+        epochs[channel] = (x, valid.copy())
     return SubjectData(subject_id=subject_id, epochs=epochs,
                        labels={k: list(v) for k, v in
                                labels_by_expert.items()}, n_epochs=n)
@@ -157,7 +153,8 @@ class TestDataset:
                                rng)
         ds = build_dataset([subject])
         assert len(ds) == 2
-        assert ds.class_counts == {Label.QS: 2, Label.AS: 0}
+        assert ds.y.tolist() == [1, 1]  # QS is class 1
+        assert np.array_equal(ds.x[0], ds.x[1])
 
     def test_disagreement_contributes_both_labels(self):
         rng = np.random.default_rng(3)
@@ -165,8 +162,8 @@ class TestDataset:
                                rng)
         ds = build_dataset([subject])
         assert len(ds) == 2
-        assert ds.class_counts == {Label.QS: 1, Label.AS: 1}
-        assert {s.expert_id for s in ds.samples} == {"e1", "e2"}
+        assert ds.y.tolist() == [1, 0]
+        assert ds.keys["expert"].tolist() == ["e1", "e2"]
 
     def test_excluded_label_is_skipped(self):
         rng = np.random.default_rng(4)
@@ -174,7 +171,8 @@ class TestDataset:
             "n1", {"e1": [Label.EXCLUDED], "e2": [Label.QS]}, rng)
         ds = build_dataset([subject])
         assert len(ds) == 1
-        assert ds.samples[0].label is Label.QS
+        assert ds.y.tolist() == [1]
+        assert ds.keys["expert"].tolist() == ["e2"]
 
     def test_invalid_epochs_are_skipped(self):
         rng = np.random.default_rng(5)
@@ -183,17 +181,23 @@ class TestDataset:
             rng, invalid={1})
         ds = build_dataset([subject])
         assert len(ds) == 2
-        assert all(s.epoch.epoch_index == 0 for s in ds.samples)
+        assert ds.keys["epoch"].tolist() == [0, 0]
 
     def test_arrays_shape_and_classes(self):
         rng = np.random.default_rng(6)
         subject = make_subject(
             "n1", {"e1": [Label.QS, Label.AS], "e2": [Label.AS, Label.AS]},
             rng)
-        x, y = dataset_arrays(build_dataset([subject]))
+        ds = build_dataset([subject])
+        x, y = dataset_arrays(ds)
         assert x.shape == (4, 1, EPOCH_SAMPLES) and x.dtype == np.float32
+        assert np.shares_memory(x, ds.x)  # a view, not a copy
         # sample order is channel, epoch, expert; QS maps to class 1
         assert y.tolist() == [1, 0, 0, 0]
+        assert ds.keys.tolist() == [("n1", 0, "C1", "e1"),
+                                    ("n1", 0, "C1", "e2"),
+                                    ("n1", 1, "C1", "e1"),
+                                    ("n1", 1, "C1", "e2")]
 
     def test_mismatched_label_track_rejected(self):
         rng = np.random.default_rng(7)
@@ -211,17 +215,18 @@ class TestSplit:
     def test_groups_never_straddle_the_split(self):
         ds = self.dataset()
         train_idx, val_idx = split_train_val(ds, 0.1, seed=0)
-        train_groups = {ds.samples[i].group for i in train_idx}
-        val_groups = {ds.samples[i].group for i in val_idx}
-        assert not (train_groups & val_groups)
-        assert len(train_idx) + len(val_idx) == len(ds)
+        groups = ds.keys[["subject", "epoch"]]
+        assert not set(groups[train_idx].tolist()) \
+            & set(groups[val_idx].tolist())
+        assert sorted(np.concatenate([train_idx, val_idx]).tolist()) \
+            == list(range(len(ds)))
 
     def test_fraction_is_respected_per_stratum(self):
         ds = self.dataset(n_epochs=40)  # 20 QS groups, 20 AS groups
         train_idx, val_idx = split_train_val(ds, 0.1, seed=1)
-        val_labels = [ds.samples[i].label for i in val_idx]
-        assert val_labels.count(Label.QS) == 4  # 2 groups x 2 experts
-        assert val_labels.count(Label.AS) == 4
+        val_labels = ds.y[val_idx].tolist()
+        assert val_labels.count(1) == 4  # 2 QS groups x 2 experts
+        assert val_labels.count(0) == 4
 
     def test_small_strata_send_at_least_one_each_way(self):
         rng = np.random.default_rng(9)
@@ -229,10 +234,8 @@ class TestSplit:
         subject = make_subject("n1", {"e1": labels}, rng)
         ds = build_dataset([subject])
         train_idx, val_idx = split_train_val(ds, 0.1, seed=2)
-        train_labels = {ds.samples[i].label for i in train_idx}
-        val_labels = {ds.samples[i].label for i in val_idx}
-        assert train_labels == {Label.QS, Label.AS}
-        assert val_labels == {Label.QS, Label.AS}
+        assert set(ds.y[train_idx].tolist()) == {0, 1}
+        assert set(ds.y[val_idx].tolist()) == {0, 1}
 
     def test_singleton_stratum_stays_in_train(self):
         rng = np.random.default_rng(10)
@@ -240,8 +243,8 @@ class TestSplit:
             "n1", {"e1": [Label.QS, Label.AS, Label.AS, Label.AS]}, rng)
         ds = build_dataset([subject])
         train_idx, val_idx = split_train_val(ds, 0.25, seed=3)
-        assert Label.QS in {ds.samples[i].label for i in train_idx}
-        assert {ds.samples[i].label for i in val_idx} == {Label.AS}
+        assert 1 in ds.y[train_idx]  # the lone QS group
+        assert set(ds.y[val_idx].tolist()) == {0}
 
     def test_same_seed_same_split(self):
         ds = self.dataset()
@@ -250,6 +253,56 @@ class TestSplit:
         c = split_train_val(ds, 0.1, seed=5)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[1], c[1])
+
+
+def reference_split(ds, fraction, seed):
+    """The split written as loops over (subject, epoch) groups."""
+    groups = {}
+    for i, key in enumerate(ds.keys.tolist()):
+        groups.setdefault((key[0], key[1]), []).append(i)
+    strata = {}
+    for key in sorted(groups):
+        stratum = tuple(sorted(str(training.CLASSES[ds.y[i]])
+                               for i in groups[key]))
+        strata.setdefault(stratum, []).append(key)
+    rng = np.random.default_rng([seed, 101])
+    val_keys = set()
+    for stratum in sorted(strata):
+        keys = strata[stratum]
+        n = len(keys)
+        if n < 2:
+            continue
+        want = max(1, min(n - 1, int(round(fraction * n))))
+        val_keys.update(keys[j] for j in rng.permutation(n)[:want])
+    train_idx, val_idx = [], []
+    for key in sorted(groups):
+        (val_idx if key in val_keys else train_idx).extend(groups[key])
+    return train_idx, val_idx
+
+
+class TestSplitReference:
+    def test_matches_the_loop_version(self):
+        # unsorted subjects, two channels, three experts with exclusions
+        # and disagreements, and rejected minutes
+        rng = np.random.default_rng(15)
+        choices = [Label.QS, Label.AS, Label.EXCLUDED]
+        subjects = []
+        for sid in ("n2", "n10", "n1"):
+            n = int(rng.integers(5, 30))
+            labels = {e: [choices[i] for i in rng.choice(3, n,
+                                                         p=[.4, .5, .1])]
+                      for e in ("e2", "e1", "e3")}
+            invalid = set(rng.choice(n, 3, replace=False).tolist())
+            subjects.append(make_subject(sid, labels, rng,
+                                         channels=("C2", "C1"),
+                                         invalid=invalid))
+        ds = build_dataset(subjects)
+        for seed in range(5):
+            for fraction in (0.1, 0.25, 0.5):
+                train_idx, val_idx = split_train_val(ds, fraction, seed)
+                expected = reference_split(ds, fraction, seed)
+                assert train_idx.tolist() == expected[0]
+                assert val_idx.tolist() == expected[1]
 
 
 class TestTrain:
@@ -289,6 +342,15 @@ class TestTrain:
             for name in la:
                 assert np.array_equal(la[name], lb[name])
 
+    def test_history_records_the_split(self):
+        ds = self.toy_dataset(n=12)
+        cfg = TrainConfig(max_epochs=1, batch_size=8, seed=5)
+        _, history = train(ds, cfg)
+        train_idx, val_idx = split_train_val(ds, cfg.inner_val_fraction,
+                                             cfg.seed)
+        assert np.array_equal(history.train_idx, train_idx)
+        assert np.array_equal(history.val_idx, val_idx)
+
     def test_history_csv_round_trip(self, tmp_path):
         ds = self.toy_dataset(n=12)
         cfg = TrainConfig(max_epochs=2, batch_size=8, seed=3)
@@ -305,9 +367,9 @@ class TestTrain:
 class TestInferChannel:
     def test_invalid_epochs_come_back_nan(self):
         rng = np.random.default_rng(13)
-        epochs = [make_epoch("C1", i, rng, valid=i != 1) for i in range(3)]
+        x = np.stack([make_epoch(rng) for _ in range(3)])
         model = nn.build_model(nn.reference_architecture(), EPOCH_SAMPLES)
-        probs = infer_channel(model, epochs)
+        probs = infer_channel(model, x, np.array([True, False, True]))
         assert probs.shape == (3,)
         assert np.isnan(probs[1])
         assert np.all((probs[[0, 2]] >= 0) & (probs[[0, 2]] <= 1))
@@ -334,9 +396,9 @@ class TestLoso:
 
     def test_no_leakage_into_training(self):
         for fold in loso(self.subjects(), self.cfg()):
-            seen = {key[0] for key in fold.train_keys} \
-                | {key[0] for key in fold.val_keys}
-            assert fold.held_out_subject not in seen
+            for keys in (fold.train_keys, fold.val_keys):
+                assert len(keys)
+                assert not np.any(keys["subject"] == fold.held_out_subject)
 
     def test_predictions_cover_each_epoch_once(self):
         subjects = self.subjects()
@@ -344,11 +406,10 @@ class TestLoso:
         by_subject = {f.held_out_subject: f for f in folds}
         for subject in subjects:
             fold = by_subject[subject.subject_id]
-            for channel, tensors in subject.epochs.items():
+            for channel, (_, valid) in subject.epochs.items():
                 probs = fold.predictions[channel]
                 assert probs.shape == (subject.n_epochs,)
-                for tensor, p in zip(tensors, probs):
-                    assert np.isnan(p) == (not tensor.valid)
+                assert np.array_equal(np.isnan(probs), ~valid)
 
     def test_same_seed_reproduces_predictions(self):
         a = loso(self.subjects(), self.cfg())
@@ -368,8 +429,8 @@ class TestLoso:
         # training restricted to one channel, predictions still for all
         folds = loso(self.subjects(), self.cfg(), train_channels=["C2"])
         for fold in folds:
-            assert {key[2] for key in fold.train_keys} == {"C2"}
-            assert {key[2] for key in fold.val_keys} == {"C2"}
+            assert set(fold.train_keys["channel"].tolist()) == {"C2"}
+            assert set(fold.val_keys["channel"].tolist()) == {"C2"}
             assert sorted(fold.predictions) == ["C1", "C2"]
 
     def test_train_channel_must_exist(self):
