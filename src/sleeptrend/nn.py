@@ -10,6 +10,14 @@ Convolutions are cross-correlations with stride 1 and same padding, the
 convention used by every mainstream deep learning toolkit. The softmax
 layer must be last; its backward pass is fused with the cross-entropy
 loss, so backward() consumes integer class targets directly.
+
+One layer loop serves every stack, and fuses two pairings where the spec
+list has them. A ReLU directly before a max-pool runs after the pool, at
+the pooled resolution, and keeps its mask there; ReLU is monotone, so the
+output and the gradient are unchanged. In inference, a batch norm
+directly after a convolution is folded into that convolution's weight
+and bias (Jacob et al., CVPR 2018, section 3.2), and no backward caches
+are kept. Training still normalises with batch statistics.
 """
 
 from __future__ import annotations
@@ -230,32 +238,106 @@ def count_spec_params(specs: Sequence[LayerSpec],
 
 
 def _conv1d_forward(x, w, b):
+    """Same-padded cross-correlation as one matrix product per sample.
+    The im2col copy is laid out (batch, cin * kernel, length), so the
+    product lands in (batch, cout, length) with no transpose."""
     n, cin, length = x.shape
     cout, _, k = w.shape
     pad = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    windows = sliding_window_view(xp, k, axis=2)  # (n, cin, L, k)
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(
-        n * length, cin * k)
-    out = cols @ w.reshape(cout, cin * k).T
-    y = out.reshape(n, length, cout).transpose(0, 2, 1) + b[None, :, None]
-    return y, (cols, (n, cin, length))
+    # row ci * k + t of a sample's copy is xp[ci, t:t + length]
+    cols = sliding_window_view(xp, length, axis=2).reshape(n, cin * k,
+                                                           length)
+    y = w.reshape(cout, cin * k) @ cols
+    y += b[:, None]
+    return y, cols
 
 
-def _conv1d_backward(g, w, cache):
-    cols, (n, cin, length) = cache
-    cout, _, k = w.shape
+def _conv1d_backward(g, w, cols, need_dx):
+    """(input gradient or None, {"w", "b"} gradients). The input gradient
+    is a tap loop over the per-tap columns of Wᵀ g; a correlation of g
+    with the flipped kernel measured slower, its im2col copy being wider."""
+    n, cout, length = g.shape
+    _, cin, k = w.shape
+    dw = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    grads = {"w": dw, "b": g.sum(axis=(0, 2))}
+    if not need_dx:
+        return None, grads
+    dcols = (w.reshape(cout, cin * k).T @ g).reshape(n, cin, k, length)
     pad = k // 2
-    g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * length, cout)
-    dw = (g2.T @ cols).reshape(cout, cin, k)
-    db = g.sum(axis=(0, 2))
-    dcols = g2 @ w.reshape(cout, cin * k)
-    dwin = dcols.reshape(n, length, cin, k).transpose(0, 2, 1, 3)
     dxp = np.zeros((n, cin, length + 2 * pad), dtype=g.dtype)
-    for j in range(k):
-        dxp[:, :, j:j + length] += dwin[:, :, :, j]
-    dx = dxp[:, :, pad:pad + length]
-    return dx, {"w": dw, "b": db}
+    for t in range(k):
+        dxp[:, :, t:t + length] += dcols[:, :, t]
+    return dxp[:, :, pad:pad + length], grads
+
+
+def _bn_affine(layer):
+    """Inference batch norm as a per-channel scale and shift."""
+    scale = layer["gamma"] / np.sqrt(layer["running_var"] + BN_EPS)
+    return scale, layer["beta"] - layer["running_mean"] * scale
+
+
+def _batchnorm_train(x, layer):
+    """Normalize with batch statistics and update the running ones.
+    Returns the output and the backward cache (x̂, inv_std)."""
+    m = x.shape[0] * x.shape[2]
+    mean = x.mean(axis=(0, 2))
+    xhat = x - mean[:, None]
+    var = np.einsum("ncl,ncl->c", xhat, xhat) / m
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv_std[:, None]
+    layer["running_mean"][...] = (BN_MOMENTUM * layer["running_mean"]
+                                  + (1.0 - BN_MOMENTUM) * mean)
+    layer["running_var"][...] = (BN_MOMENTUM * layer["running_var"]
+                                 + (1.0 - BN_MOMENTUM) * var)
+    y = xhat * layer["gamma"][:, None]
+    y += layer["beta"][:, None]
+    return y, (xhat, inv_std)
+
+
+def _batchnorm_backward(g, layer, cache):
+    xhat, inv_std = cache
+    m = xhat.shape[0] * xhat.shape[2]
+    dbeta = g.sum(axis=(0, 2))
+    dgamma = np.einsum("ncl,ncl->c", g, xhat)
+    # dx = a (g - Σg/m - x̂ Σ(g x̂)/m) with a = gamma * inv_std
+    dx = xhat * (-dgamma / m)[:, None]
+    dx += g
+    dx -= (dbeta / m)[:, None]
+    dx *= (layer["gamma"] * inv_std)[:, None]
+    return dx, {"gamma": dgamma, "beta": dbeta}
+
+
+def _maxpool(x, pool, train):
+    """Max over the strided phases x[..., j::pool]. In train mode also
+    returns the phase of each window's first maximum, the one argmax
+    would pick."""
+    out = x[..., 0::pool].copy()
+    idx = np.zeros(out.shape, np.min_scalar_type(pool - 1)) if train \
+        else None
+    for j in range(1, pool):
+        phase = x[..., j::pool]
+        if train:
+            # the last phase to beat the running maximum is where the
+            # first maximum of the window sits
+            np.maximum(idx, (phase > out) * idx.dtype.type(j), out=idx)
+        np.maximum(out, phase, out=out)
+    return out, idx
+
+
+def _maxpool_backward(g, idx, pool):
+    n, c, pooled = g.shape
+    full = np.empty((n, c, pooled * pool), dtype=g.dtype)
+    for j in range(pool):
+        np.multiply(g, idx == j, out=full[..., j::pool])
+    return full
+
+
+def _relu_before_pool(specs, i) -> bool:
+    """A ReLU directly followed by a max-pool runs after the pool, at the
+    pooled resolution: ReLU is monotone, so the two commute."""
+    return specs[i].kind == "relu" and i + 1 < len(specs) \
+        and specs[i + 1].kind == "maxpool"
 
 
 def forward(model: Model, x: np.ndarray, mode: str = "infer",
@@ -263,8 +345,10 @@ def forward(model: Model, x: np.ndarray, mode: str = "infer",
     """Run the network on a batch shaped (batch, channels, length).
 
     mode "train" uses batch statistics, applies dropout (which needs rng),
-    and updates batchnorm running statistics in place; mode "infer" is
-    deterministic and uses the stored running statistics.
+    updates batchnorm running statistics in place, and keeps the caches
+    backward() needs; mode "infer" is deterministic, uses the stored
+    running statistics folded into the preceding convolution, and keeps
+    no caches.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode {mode!r}")
@@ -274,57 +358,62 @@ def forward(model: Model, x: np.ndarray, mode: str = "infer",
             f"expected (batch, {model.in_channels}, {model.input_len}), "
             f"got {x.shape}")
 
-    caches: list = []
+    train = mode == "train"
+    specs, params = model.specs, model.params
+    caches: list = [None] * len(specs)
     shapes: list[tuple] = []
     logits = None
-    for spec, layer in zip(model.specs, model.params):
+    i = 0
+    while i < len(specs):
+        spec, layer = specs[i], params[i]
         if spec.kind == "conv1d":
-            x, cache = _conv1d_forward(x, layer["w"], layer["b"])
-            caches.append(cache)
+            w, b = layer["w"], layer["b"]
+            fold = not train and i + 1 < len(specs) \
+                and specs[i + 1].kind == "batchnorm"
+            if fold:
+                scale, shift = _bn_affine(params[i + 1])
+                w = w * scale[:, None, None]
+                b = b * scale + shift
+            x, cols = _conv1d_forward(x, w, b)
+            if train:
+                caches[i] = cols
+            if fold:
+                shapes.append(x.shape)
+                i += 1
         elif spec.kind == "batchnorm":
-            if mode == "train":
-                mean = x.mean(axis=(0, 2))
-                var = x.var(axis=(0, 2))
-                inv_std = 1.0 / np.sqrt(var + BN_EPS)
-                xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-                layer["running_mean"][...] = (
-                    BN_MOMENTUM * layer["running_mean"]
-                    + (1.0 - BN_MOMENTUM) * mean.astype(model.dtype))
-                layer["running_var"][...] = (
-                    BN_MOMENTUM * layer["running_var"]
-                    + (1.0 - BN_MOMENTUM) * var.astype(model.dtype))
+            if train:
+                x, caches[i] = _batchnorm_train(x, layer)
             else:
-                inv_std = 1.0 / np.sqrt(layer["running_var"] + BN_EPS)
-                xhat = (x - layer["running_mean"][None, :, None]) \
-                    * inv_std[None, :, None]
-            x = layer["gamma"][None, :, None] * xhat \
-                + layer["beta"][None, :, None]
-            caches.append((xhat, inv_std))
+                scale, shift = _bn_affine(layer)
+                x = x * scale[:, None] + shift[:, None]
+        elif _relu_before_pool(specs, i):
+            shapes.append(x.shape)
+            i += 1
+            x, idx = _maxpool(x, specs[i].pool, train)
+            if train:
+                caches[i - 1], caches[i] = x > 0, idx
+            np.maximum(x, 0, out=x)
         elif spec.kind == "relu":
-            mask = x > 0
-            x = x * mask
-            caches.append(mask)
+            if train:
+                caches[i] = x > 0
+            x = np.maximum(x, 0)
         elif spec.kind == "maxpool":
-            n, c, length = x.shape
-            grouped = x.reshape(n, c, length // spec.pool, spec.pool)
-            idx = grouped.argmax(axis=3)
-            x = np.take_along_axis(grouped, idx[..., None], axis=3)[..., 0]
-            caches.append((idx, (n, c, length)))
+            x, caches[i] = _maxpool(x, spec.pool, train)
         elif spec.kind == "global_avg_pool":
-            caches.append(x.shape[2])
+            if train:
+                caches[i] = x.shape[2]
             x = x.mean(axis=2)
         elif spec.kind == "dropout":
-            if mode == "train" and spec.rate > 0.0:
+            if train and spec.rate > 0.0:
                 if rng is None:
                     raise ConfigError("train-mode dropout needs an rng")
                 mask = (rng.random(x.shape) >= spec.rate)
                 keep = np.asarray(1.0 - spec.rate, dtype=model.dtype)
                 x = x * mask / keep
-                caches.append((mask, keep))
-            else:
-                caches.append(None)
+                caches[i] = (mask, keep)
         elif spec.kind == "dense":
-            caches.append(x)
+            if train:
+                caches[i] = x
             x = x @ layer["w"].T + layer["b"]
         elif spec.kind == "softmax":
             logits = x
@@ -334,8 +423,8 @@ def forward(model: Model, x: np.ndarray, mode: str = "infer",
             shifted -= shifted.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             x = e / e.sum(axis=1, keepdims=True)
-            caches.append(None)
         shapes.append(x.shape)
+        i += 1
     return ForwardTrace(probs=x, logits=logits, caches=caches,
                         shapes=shapes, mode=mode)
 
@@ -366,11 +455,10 @@ def backward(model: Model, trace: ForwardTrace,
     onehot[np.arange(n), targets] = 1.0
     g = ((trace.probs - onehot) / n).astype(model.dtype)
 
-    grads: list[dict[str, np.ndarray]] = [{} for _ in model.specs]
-    for i in range(len(model.specs) - 1, -1, -1):
-        spec = model.specs[i]
-        layer = model.params[i]
-        cache = trace.caches[i]
+    specs, params, caches = model.specs, model.params, trace.caches
+    grads: list[dict[str, np.ndarray]] = [{} for _ in specs]
+    for i in range(len(specs) - 1, -1, -1):
+        spec, layer, cache = specs[i], params[i], caches[i]
         if spec.kind == "softmax":
             continue  # fused with the loss above
         if spec.kind == "dense":
@@ -381,31 +469,20 @@ def backward(model: Model, trace: ForwardTrace,
                 mask, keep = cache
                 g = g * mask / keep
         elif spec.kind == "global_avg_pool":
-            length = cache
-            g = np.repeat(g[:, :, None], length, axis=2) / np.asarray(
-                length, dtype=model.dtype)
+            g = np.repeat(g[:, :, None] / np.asarray(cache, dtype=g.dtype),
+                          cache, axis=2)
         elif spec.kind == "maxpool":
-            idx, (n_, c, length) = cache
-            spread = np.zeros((n_, c, length // spec.pool, spec.pool),
-                              dtype=g.dtype)
-            np.put_along_axis(spread, idx[..., None], g[..., None], axis=3)
-            g = spread.reshape(n_, c, length)
+            if i > 0 and _relu_before_pool(specs, i - 1):
+                g = g * caches[i - 1]
+            g = _maxpool_backward(g, cache, spec.pool)
         elif spec.kind == "relu":
-            g = g * cache
+            if not _relu_before_pool(specs, i):
+                g = g * cache
         elif spec.kind == "batchnorm":
-            xhat, inv_std = cache
-            m = xhat.shape[0] * xhat.shape[2]
-            dgamma = (g * xhat).sum(axis=(0, 2))
-            dbeta = g.sum(axis=(0, 2))
-            grads[i] = {"gamma": dgamma, "beta": dbeta}
-            dxhat = g * layer["gamma"][None, :, None]
-            term = (dxhat.sum(axis=(0, 2))[None, :, None]
-                    + xhat * (dxhat * xhat).sum(axis=(0, 2))[None, :, None])
-            g = (dxhat - term / np.asarray(m, dtype=g.dtype)) \
-                * inv_std[None, :, None]
+            g, grads[i] = _batchnorm_backward(g, layer, cache)
         elif spec.kind == "conv1d":
-            g, layer_grads = _conv1d_backward(g, layer["w"], cache)
-            grads[i] = layer_grads
+            g, grads[i] = _conv1d_backward(g, layer["w"], cache,
+                                           need_dx=i > 0)
     return grads
 
 
@@ -452,7 +529,8 @@ def save_checkpoint(model: Model, manifest_path: str | Path,
 
 def load_checkpoint(manifest_path: str | Path) -> tuple[Model, dict]:
     """Load and verify a checkpoint; raises ChecksumMismatch when the blob
-    does not match its manifest digest or the manifest is malformed."""
+    does not match its manifest digest or the manifest is malformed,
+    including layer specs that do not build a model."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -482,6 +560,6 @@ def load_checkpoint(manifest_path: str | Path) -> tuple[Model, dict]:
             raise ChecksumMismatch(
                 f"blob has {len(blob)} bytes, arrays use {offset}")
         return model, manifest.get("metadata", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ChecksumMismatch(
             f"{manifest_path}: malformed manifest ({exc!r})") from exc

@@ -265,10 +265,13 @@ class TestInferCommand:
         blob = (crossval_dir / "fold_s01.bin").read_bytes()
         no_blob_key = json.loads(manifest)
         del no_blob_key["blob"]
+        unknown_kind = json.loads(manifest)
+        unknown_kind["specs"][0]["kind"] = "conv2d"
         cases = {
             "zeroed_blob_tail": (manifest, blob[:-4] + b"\x00" * 4),
             "bad_json": (manifest[:len(manifest) // 2], blob),
             "no_blob_key": (json.dumps(no_blob_key), blob),
+            "unknown_layer_kind": (json.dumps(unknown_kind), blob),
         }
         for name, (text, data) in cases.items():
             broken = tmp_path / name

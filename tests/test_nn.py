@@ -2,8 +2,11 @@
 cases, analytic gradients against central finite differences, and the
 checkpoint round trip."""
 
+import copy
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import finite_diff_grads, max_grad_rel_err
 from sleeptrend import nn
@@ -382,6 +385,218 @@ class TestGradients:
                 layer[name] -= 0.05 * grad
         again = nn.forward(model, x, "train", rng=np.random.default_rng(1))
         assert nn.cross_entropy(again.probs, targets) < before
+
+
+# The layer loop nn.forward/nn.backward replaced, one layer at a time with
+# no fusion: argmax max-pool, full-resolution ReLU mask, unfolded batch
+# norm, and a tap loop for the convolution's input gradient.
+
+def _reference_conv1d_forward(x, w, b):
+    n, cin, length = x.shape
+    cout, _, k = w.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    windows = sliding_window_view(xp, k, axis=2)  # (n, cin, L, k)
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(
+        n * length, cin * k)
+    out = cols @ w.reshape(cout, cin * k).T
+    y = out.reshape(n, length, cout).transpose(0, 2, 1) + b[None, :, None]
+    return y, (cols, (n, cin, length))
+
+
+def _reference_conv1d_backward(g, w, cache):
+    cols, (n, cin, length) = cache
+    cout, _, k = w.shape
+    pad = k // 2
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * length, cout)
+    dw = (g2.T @ cols).reshape(cout, cin, k)
+    db = g.sum(axis=(0, 2))
+    dcols = g2 @ w.reshape(cout, cin * k)
+    dwin = dcols.reshape(n, length, cin, k).transpose(0, 2, 1, 3)
+    dxp = np.zeros((n, cin, length + 2 * pad), dtype=g.dtype)
+    for j in range(k):
+        dxp[:, :, j:j + length] += dwin[:, :, :, j]
+    return dxp[:, :, pad:pad + length], {"w": dw, "b": db}
+
+
+def reference_forward(model, x, mode, rng=None):
+    """(probs, caches); train mode updates the running statistics."""
+    x = np.asarray(x, dtype=model.dtype)
+    caches = []
+    for spec, layer in zip(model.specs, model.params):
+        if spec.kind == "conv1d":
+            x, cache = _reference_conv1d_forward(x, layer["w"], layer["b"])
+            caches.append(cache)
+        elif spec.kind == "batchnorm":
+            if mode == "train":
+                mean = x.mean(axis=(0, 2))
+                var = x.var(axis=(0, 2))
+                inv_std = 1.0 / np.sqrt(var + nn.BN_EPS)
+                xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+                layer["running_mean"][...] = (
+                    nn.BN_MOMENTUM * layer["running_mean"]
+                    + (1.0 - nn.BN_MOMENTUM) * mean)
+                layer["running_var"][...] = (
+                    nn.BN_MOMENTUM * layer["running_var"]
+                    + (1.0 - nn.BN_MOMENTUM) * var)
+            else:
+                inv_std = 1.0 / np.sqrt(layer["running_var"] + nn.BN_EPS)
+                xhat = (x - layer["running_mean"][None, :, None]) \
+                    * inv_std[None, :, None]
+            x = layer["gamma"][None, :, None] * xhat \
+                + layer["beta"][None, :, None]
+            caches.append((xhat, inv_std))
+        elif spec.kind == "relu":
+            mask = x > 0
+            x = x * mask
+            caches.append(mask)
+        elif spec.kind == "maxpool":
+            n, c, length = x.shape
+            grouped = x.reshape(n, c, length // spec.pool, spec.pool)
+            idx = grouped.argmax(axis=3)
+            x = np.take_along_axis(grouped, idx[..., None], axis=3)[..., 0]
+            caches.append((idx, (n, c, length)))
+        elif spec.kind == "global_avg_pool":
+            caches.append(x.shape[2])
+            x = x.mean(axis=2)
+        elif spec.kind == "dropout":
+            if mode == "train" and spec.rate > 0.0:
+                mask = rng.random(x.shape) >= spec.rate
+                keep = np.asarray(1.0 - spec.rate, dtype=model.dtype)
+                x = x * mask / keep
+                caches.append((mask, keep))
+            else:
+                caches.append(None)
+        elif spec.kind == "dense":
+            caches.append(x)
+            x = x @ layer["w"].T + layer["b"]
+        elif spec.kind == "softmax":
+            shifted = x.astype(np.float64)
+            shifted -= shifted.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            x = e / e.sum(axis=1, keepdims=True)
+            caches.append(None)
+    return x, caches
+
+
+def reference_backward(model, probs, caches, targets):
+    n = probs.shape[0]
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(n), targets] = 1.0
+    g = ((probs - onehot) / n).astype(model.dtype)
+    grads = [{} for _ in model.specs]
+    for i in range(len(model.specs) - 1, -1, -1):
+        spec, layer, cache = model.specs[i], model.params[i], caches[i]
+        if spec.kind == "dense":
+            grads[i] = {"w": g.T @ cache, "b": g.sum(axis=0)}
+            g = g @ layer["w"]
+        elif spec.kind == "dropout":
+            if cache is not None:
+                mask, keep = cache
+                g = g * mask / keep
+        elif spec.kind == "global_avg_pool":
+            g = np.repeat(g[:, :, None], cache, axis=2) / np.asarray(
+                cache, dtype=model.dtype)
+        elif spec.kind == "maxpool":
+            idx, (n_, c, length) = cache
+            spread = np.zeros((n_, c, length // spec.pool, spec.pool),
+                              dtype=g.dtype)
+            np.put_along_axis(spread, idx[..., None], g[..., None], axis=3)
+            g = spread.reshape(n_, c, length)
+        elif spec.kind == "relu":
+            g = g * cache
+        elif spec.kind == "batchnorm":
+            xhat, inv_std = cache
+            m = xhat.shape[0] * xhat.shape[2]
+            grads[i] = {"gamma": (g * xhat).sum(axis=(0, 2)),
+                        "beta": g.sum(axis=(0, 2))}
+            dxhat = g * layer["gamma"][None, :, None]
+            term = (dxhat.sum(axis=(0, 2))[None, :, None]
+                    + xhat * (dxhat * xhat).sum(axis=(0, 2))[None, :, None])
+            g = (dxhat - term / np.asarray(m, dtype=g.dtype)) \
+                * inv_std[None, :, None]
+        elif spec.kind == "conv1d":
+            g, grads[i] = _reference_conv1d_backward(g, layer["w"], cache)
+    return grads
+
+
+# A conv that copies its input (taps [0, 1, 0]) ahead of a max-pool of 2,
+# on integer samples so the pooled map has exact ties. The neighbours of
+# each tied pair differ, so routing to the wrong position changes the
+# conv's weight gradient. The second window's values are all <= 0.
+TIE_INPUT = np.array([[[3.0, 3.0, -2.0, 0.0, 5.0, 1.0, -4.0, 7.0]],
+                      [[-1.0, 2.0, 6.0, 6.0, 0.0, 0.0, 2.0, -3.0]]])
+
+
+def _tie_stack(relu):
+    return ([nn.LayerSpec("conv1d", out_channels=1, kernel=3)]
+            + [nn.LayerSpec("relu")] * relu
+            + [nn.LayerSpec("maxpool", pool=2),
+               nn.LayerSpec("global_avg_pool"),
+               nn.LayerSpec("dense", units=2), nn.LayerSpec("softmax")])
+
+
+REFERENCE_CASES = {
+    "reference_architecture": (nn.reference_architecture(), EPOCH_SAMPLES,
+                               1),
+    **{f"gradcheck_{i}": stack for i, stack in enumerate(GRADCHECK_CONFIGS)},
+    "ties_relu_maxpool": (_tie_stack(relu=True), 8, 1),
+    "ties_maxpool": (_tie_stack(relu=False), 8, 1),
+}
+
+
+class TestMatchesReferenceLoop:
+    def build(self, name, dtype):
+        specs, length, channels = REFERENCE_CASES[name]
+        model = nn.build_model(specs, length, channels, seed=4, dtype=dtype)
+        rng = np.random.default_rng(12)
+        for layer in model.params:
+            if "running_mean" in layer:
+                c = layer["gamma"].size
+                layer["gamma"][...] = rng.normal(0.0, 1.5, c)  # some < 0
+                layer["beta"][...] = rng.normal(0.0, 1.0, c)
+                layer["running_mean"][...] = rng.normal(0.0, 2.0, c)
+                layer["running_var"][...] = rng.uniform(0.5, 4.0, c)
+        if name.startswith("ties"):
+            model.params[0]["w"][...] = [[[0.0, 1.0, 0.0]]]
+            x = TIE_INPUT
+        else:
+            scale = 30.0 if name == "reference_architecture" else 2.0
+            x = scale * rng.standard_normal((4, channels, length))
+        targets = rng.integers(0, model.n_classes, size=len(x))
+        return model, x.astype(dtype), targets
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", list(REFERENCE_CASES))
+    def test_same_outputs_and_gradients(self, name, dtype, mode):
+        model, x, targets = self.build(name, dtype)
+        reference = copy.deepcopy(model)
+        trace = nn.forward(model, x, mode, rng=np.random.default_rng(5))
+        probs, caches = reference_forward(reference, x, mode,
+                                          rng=np.random.default_rng(5))
+        tolerance = 1e-9 if dtype == np.float64 else 1e-5
+        assert np.max(np.abs(trace.probs - probs)) < tolerance
+        if mode == "infer":
+            assert all(cache is None for cache in trace.caches)
+        if mode == "infer" or dtype == np.float32:
+            return
+        for layer, ref_layer in zip(model.params, reference.params):
+            for key, value in layer.items():
+                assert np.allclose(value, ref_layer[key], rtol=1e-9,
+                                   atol=0.0), key
+        grads = nn.backward(model, trace, targets)
+        expected = reference_backward(reference, probs, caches, targets)
+        for i, (got, want) in enumerate(zip(grads, expected)):
+            assert got.keys() == want.keys()
+            if not want:
+                continue
+            # a conv bias feeding batch norm has an analytic gradient of
+            # zero, so each array is measured against its layer's largest
+            scale = max(np.max(np.abs(v)) for v in want.values())
+            for key in want:
+                err = np.max(np.abs(got[key] - want[key])) / scale
+                assert err < 1e-9, (i, key, err)
 
 
 class TestForwardValidation:
