@@ -17,19 +17,20 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
 from . import envelope, nn, pipeline, sst, synth, training
-from .dsp import ArtifactConfig
+from .dsp import ArtifactConfig, PreprocessConfig
 from .errors import (ConfigError, DataError, SingleClassLabels,
                      SleepTrendError, ZeroVariance)
-from .labels import GAP, Label
+from .labels import Label
 from .metrics import confusion, median_range, report, roc_auc
-from .recording import epoch_labels, read_annotations, read_edf
-from .sst import DEFAULT_THRESHOLD, DEFAULT_WINDOW
+from .recording import (derive_bipolar, epoch_labels, read_annotations,
+                        read_edf)
 from .training import TrainConfig
 
 
@@ -88,58 +89,48 @@ def _v_str_list(value, path: str) -> tuple[str, ...]:
 def _v_weights(value, path: str) -> dict[str, float]:
     if not isinstance(value, dict) or not value:
         _fail(path, "expected a {channel: weight} object")
-    out = {}
-    for key, weight in value.items():
-        out[key] = _v_number(weight, f"{path}.{key}")
-    return out
+    return {key: _v_number(weight, f"{path}.{key}")
+            for key, weight in value.items()}
+
+
+def _v_jobs(value, path: str) -> int:
+    if _v_int(value, path) < 1:
+        _fail(path, f"expected at least 1 worker, got {value}")
+    return value
+
+
+# Each section is one dataclass; its fields, bar the top-level seed, are
+# the section's keys, checked by the rule for the field's type.
+SECTIONS = {
+    "synth": synth.SynthConfig,
+    "preprocess": PreprocessConfig,
+    "artifact": ArtifactConfig,
+    "train": TrainConfig,
+    "sst": sst.SstConfig,
+}
+
+_FIELD_RULES = {
+    int: _v_int,
+    float: _v_number,
+    tuple[float, float]: _v_range,
+    dict[str, float] | None: _v_weights,
+}
+
+
+def _section_schema(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: _FIELD_RULES[hints[f.name]] for f in fields(cls)
+            if f.name != "seed"}
 
 
 SCHEMA = {
     "seed": _v_int,
-    "jobs": _v_int,
+    "jobs": _v_jobs,
     "data_dir": _v_str,
     "out_dir": _v_str,
     "channel_pairs": _v_channel_pairs,
     "train_channels": _v_str_list,
-    "synth": {
-        "n_subjects": _v_int,
-        "duration_min": _v_number,
-        "cycle_min": _v_range,
-        "qs_fraction": _v_number,
-        "as_rms_uv": _v_range,
-        "burst_peak_uv": _v_range,
-        "burst_s": _v_range,
-        "ibi_peak_uv": _v_range,
-        "ibi_s": _v_range,
-        "artifact_rate_per_hour": _v_number,
-        "jitter_s": _v_number,
-    },
-    "preprocess": {
-        "low_hz": _v_number,
-        "high_hz": _v_number,
-        "order": _v_int,
-    },
-    "artifact": {
-        "amp_limit_uv": _v_number,
-        "flat_run_s": _v_number,
-    },
-    "train": {
-        "lr": _v_number,
-        "beta1": _v_number,
-        "beta2": _v_number,
-        "eps": _v_number,
-        "batch_size": _v_int,
-        "max_epochs": _v_int,
-        "early_stop_patience": _v_int,
-        "lr_factor": _v_number,
-        "lr_plateau": _v_int,
-        "inner_val_fraction": _v_number,
-    },
-    "sst": {
-        "threshold": _v_number,
-        "smooth_window": _v_int,
-        "weights": _v_weights,
-    },
+    **{name: _section_schema(cls) for name, cls in SECTIONS.items()},
 }
 
 
@@ -179,49 +170,18 @@ def load_config(path: str | None) -> dict:
 # ---------------------------------------------------------------------------
 # config accessors
 
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(seed=cfg.get("seed", 0), **cfg.get("train", {}))
-
-
-def _synth_config(cfg: dict) -> tuple[synth.SynthConfig, float]:
-    section = dict(cfg.get("synth", {}))
-    jitter = section.pop("jitter_s", 30.0)
-    return synth.SynthConfig(seed=cfg.get("seed", 0), **section), jitter
-
-
-def _artifact_config(cfg: dict) -> ArtifactConfig:
-    return ArtifactConfig(**cfg.get("artifact", {}))
-
-
-def _preprocess_args(cfg: dict) -> dict:
-    section = cfg.get("preprocess", {})
-    return {
-        "low_hz": section.get("low_hz", 0.5),
-        "high_hz": section.get("high_hz", 30.0),
-        "order": section.get("order", 4),
-        "artifact": _artifact_config(cfg),
-    }
+def _section(cfg: dict, name: str, **defaults):
+    """One config section as its dataclass. The section's keys override
+    `defaults`, which override the class's own; a class with a seed field
+    takes the top-level seed."""
+    cls = SECTIONS[name]
+    if "seed" in cfg and any(f.name == "seed" for f in fields(cls)):
+        defaults["seed"] = cfg["seed"]
+    return cls(**{**defaults, **cfg.get(name, {})})
 
 
 def _pairs(cfg: dict) -> tuple[tuple[str, str], ...]:
     return cfg.get("channel_pairs", pipeline.BIPOLAR_PAIRS)
-
-
-def _sst_params(cfg: dict) -> tuple[float, int, dict | None]:
-    section = cfg.get("sst", {})
-    return (section.get("threshold", DEFAULT_THRESHOLD),
-            section.get("smooth_window", DEFAULT_WINDOW),
-            section.get("weights"))
-
-
-def _aligned_weights(weights: dict | None,
-                     channels: Sequence[str]) -> np.ndarray | None:
-    if weights is None:
-        return None
-    missing = sorted(set(channels) - set(weights))
-    if missing:
-        raise ConfigError(f"sst.weights: missing channel(s) {missing}")
-    return np.array([weights[c] for c in channels], dtype=float)
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -257,11 +217,9 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict,
     rows = [{"path": str(Path(p).relative_to(out_dir)),
              "sha256": _sha256(Path(p))}
             for p in sorted(set(map(Path, outputs)))]
-    doc = {"command": command, "config": cfg,
-           "created_unix": round(time.time(), 3), "outputs": rows}
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json",
+                {"command": command, "config": cfg,
+                 "created_unix": round(time.time(), 3), "outputs": rows})
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]):
@@ -296,14 +254,9 @@ def _score_series(reference: Sequence[Label], probs: np.ndarray,
     AUC is None when only one class remains."""
     probs = np.asarray(probs, dtype=float)
     finite = np.isfinite(probs)
-    predicted = [GAP if not finite[i]
-                 else str(Label.QS) if probs[i] >= threshold
-                 else str(Label.AS)
-                 for i in range(len(probs))]
-    cm = confusion(reference, predicted)
+    cm = confusion(reference, sst.decide(probs, threshold))
     if cm.total == 0:
-        return {"n_scored": 0, "accuracy": None, "kappa": None,
-                "f1": None, "auc": None}
+        return {"n_scored": 0, **dict.fromkeys(METRIC_COLUMNS)}
     scored = report(cm)
     usable = [i for i in range(len(probs)) if finite[i]
               and reference[i] in (Label.QS, Label.AS)]
@@ -322,12 +275,9 @@ def _fold_rows(subject_id: str, reference: Sequence[Label],
                predictions: Mapping[str, np.ndarray], trace: sst.SstTrace,
                threshold: float) -> list[list]:
     rows = []
-    for channel in sorted(predictions):
-        scores = _score_series(reference, predictions[channel], threshold)
-        rows.append([subject_id, channel, scores["n_scored"],
-                     *[scores[m] for m in METRIC_COLUMNS]])
-    for name, series in (("combined", trace.p_mean),
-                         ("smoothed", trace.p_smoothed)):
+    for name, series in [*sorted(predictions.items()),
+                         ("combined", trace.p_mean),
+                         ("smoothed", trace.p_smoothed)]:
         scores = _score_series(reference, series, threshold)
         rows.append([subject_id, name, scores["n_scored"],
                      *[scores[m] for m in METRIC_COLUMNS]])
@@ -367,9 +317,9 @@ def _reference_labels(subject: training.SubjectData,
 
 def cmd_synth(cfg: dict, args) -> int:
     out_dir = _out_dir(cfg, args)
-    synth_cfg, jitter_s = _synth_config(cfg)
+    synth_cfg = _section(cfg, "synth")
     generated = synth.generate(synth_cfg)
-    paths = synth.write_dataset(generated, out_dir, jitter_s=jitter_s)
+    paths = synth.write_dataset(generated, out_dir, synth_cfg.jitter_s)
     _write_manifest(out_dir, "synth", cfg, paths)
     print(f"wrote {len(paths)} files for {synth_cfg.n_subjects} "
           f"subject(s) under {out_dir}")
@@ -379,13 +329,13 @@ def cmd_synth(cfg: dict, args) -> int:
 def cmd_preprocess(cfg: dict, args) -> int:
     out_dir = _out_dir(cfg, args)
     data_dir = _data_dir(cfg)
-    pre = _preprocess_args(cfg)
     rows = []
     for subject_id in pipeline.discover_subjects(data_dir):
         recording = read_edf(data_dir / f"{subject_id}.edf",
                              subject_id=subject_id)
-        _, reports = pipeline.preprocess_recording(recording, _pairs(cfg),
-                                                   **pre)
+        _, reports = pipeline.preprocess_recording(
+            recording, _pairs(cfg), _section(cfg, "preprocess"),
+            _section(cfg, "artifact"))
         for channel in sorted(reports):
             rep = reports[channel]
             rows.append([subject_id, channel, rep.n_epochs,
@@ -403,11 +353,12 @@ def cmd_preprocess(cfg: dict, args) -> int:
 
 def cmd_train(cfg: dict, args) -> int:
     out_dir = _out_dir(cfg, args)
-    subjects, _ = pipeline.load_cohort(_data_dir(cfg), _pairs(cfg),
-                                       **_preprocess_args(cfg))
+    subjects, _ = pipeline.load_cohort(
+        _data_dir(cfg), _pairs(cfg), _section(cfg, "preprocess"),
+        _section(cfg, "artifact"))
     dataset = training.build_dataset(subjects,
                                      channels=cfg.get("train_channels"))
-    model, history = training.train(dataset, _train_config(cfg))
+    model, history = training.train(dataset, _section(cfg, "train"))
     checkpoint = out_dir / "model.json"
     nn.save_checkpoint(model, checkpoint,
                        metadata={"best_epoch": history.best_epoch,
@@ -424,10 +375,13 @@ def cmd_train(cfg: dict, args) -> int:
 
 def cmd_crossval(cfg: dict, args) -> int:
     out_dir = _out_dir(cfg, args)
-    subjects, truths = pipeline.load_cohort(_data_dir(cfg), _pairs(cfg),
-                                            **_preprocess_args(cfg))
-    threshold, window, weight_map = _sst_params(cfg)
-    folds = training.loso(subjects, _train_config(cfg), out_dir=out_dir,
+    subjects, truths = pipeline.load_cohort(
+        _data_dir(cfg), _pairs(cfg), _section(cfg, "preprocess"),
+        _section(cfg, "artifact"))
+    sst_cfg = _section(cfg, "sst")
+    train_cfg = _section(cfg, "train",
+                         early_stop_patience=training.LOSO_PATIENCE)
+    folds = training.loso(subjects, train_cfg, out_dir=out_dir,
                           jobs=cfg.get("jobs", 1),
                           train_channels=cfg.get("train_channels"))
 
@@ -436,25 +390,19 @@ def cmd_crossval(cfg: dict, args) -> int:
     by_id = {s.subject_id: s for s in subjects}
     for fold in folds:
         subject = by_id[fold.held_out_subject]
-        probs = sst.ProbSeries.from_predictions(fold.predictions)
-        weights = _aligned_weights(weight_map, probs.channels)
-        trace = sst.compute_sst(probs, weights=weights, window=window,
-                                threshold=threshold)
-        dqs = sst.detect_dqs(trace, threshold)
+        trace, dqs = sst.build_trend(fold.predictions, sst_cfg)
         reference = _reference_labels(subject, truths[subject.subject_id])
         metric_rows.extend(_fold_rows(subject.subject_id, reference,
-                                      fold.predictions, trace, threshold))
+                                      fold.predictions, trace,
+                                      sst_cfg.threshold))
 
         base = out_dir / f"fold_{fold.held_out_subject}"
         sst.write_sst_csv(trace, base.with_suffix(".sst.csv"))
-        strips = {name: [str(v) for v in values]
-                  for name, values in sorted(subject.labels.items())}
-        svg = sst.render_svg(trace, dqs, annotations=strips,
-                             threshold=threshold)
+        svg = sst.render_svg(trace, dqs, annotations=subject.labels,
+                             threshold=sst_cfg.threshold)
         base.with_suffix(".svg").write_text(svg)
         outputs += [base.with_suffix(".sst.csv"), base.with_suffix(".svg"),
-                    Path(str(fold.checkpoint)),
-                    Path(str(fold.checkpoint)).with_suffix(".bin")]
+                    fold.checkpoint, fold.checkpoint.with_suffix(".bin")]
 
     metrics_path = out_dir / "metrics.csv"
     _write_csv(metrics_path, ["subject", "channel", "n_scored",
@@ -474,35 +422,30 @@ def cmd_infer(cfg: dict, args) -> int:
     recording_path = Path(args.recording)
     recording = read_edf(recording_path, subject_id=recording_path.stem)
     pairs = _pairs(cfg)
-    epochs, _ = pipeline.preprocess_recording(recording, pairs,
-                                              **_preprocess_args(cfg))
+    epochs, _ = pipeline.preprocess_recording(
+        recording, pairs, _section(cfg, "preprocess"),
+        _section(cfg, "artifact"))
     predictions = {channel: training.infer_channel(model, x, valid)
                    for channel, (x, valid) in epochs.items()}
-    threshold, window, weight_map = _sst_params(cfg)
-    probs = sst.ProbSeries.from_predictions(predictions)
-    trace = sst.compute_sst(probs,
-                            weights=_aligned_weights(weight_map,
-                                                     probs.channels),
-                            window=window, threshold=threshold)
-    dqs = sst.detect_dqs(trace, threshold)
+    sst_cfg = _section(cfg, "sst")
+    trace, dqs = sst.build_trend(predictions, sst_cfg)
 
-    first = recording.channel(pairs[0][0]).samples \
-        - recording.channel(pairs[0][1]).samples
-    aeeg = sst.compute_aeeg(first, fs=recording.channel(pairs[0][0]).fs)
+    first = derive_bipolar(recording, pairs[:1]).channels[0]
+    aeeg = sst.compute_aeeg(first.samples, fs=first.fs)
 
     tracks = pipeline.scorer_tracks(recording_path.parent,
                                     recording_path.stem)
-    strips = {name: [str(v) for v in epoch_labels(track, len(trace))]
-              for name, track in sorted(tracks.items())}
+    strips = {name: epoch_labels(track, len(trace))
+              for name, track in tracks.items()}
 
     sst_path = out_dir / "sst.csv"
     dqs_path = out_dir / "dqs.csv"
     svg_path = out_dir / "sst.svg"
     sst.write_sst_csv(trace, sst_path)
     sst.write_dqs_csv(dqs, dqs_path)
-    svg_path.write_text(sst.render_svg(trace, dqs,
-                                       annotations=strips or None,
-                                       aeeg=aeeg, threshold=threshold))
+    svg_path.write_text(sst.render_svg(trace, dqs, annotations=strips,
+                                       aeeg=aeeg,
+                                       threshold=sst_cfg.threshold))
     _write_manifest(out_dir, "infer", cfg, [sst_path, dqs_path, svg_path])
     print(f"wrote trend for {recording.subject_id} under {out_dir}")
     return 0
@@ -513,8 +456,8 @@ def cmd_eval(cfg: dict, args) -> int:
     trace = sst.read_sst_csv(args.sst)
     track = read_annotations(args.annotations)
     reference = epoch_labels(track, len(trace))
-    threshold, _, _ = _sst_params(cfg)
-    scores = _score_series(reference, trace.p_smoothed, threshold)
+    scores = _score_series(reference, trace.p_smoothed,
+                           _section(cfg, "sst").threshold)
     path = out_dir / "eval.json"
     _write_json(path, scores)
     _write_manifest(out_dir, "eval", cfg, [path])
@@ -526,11 +469,8 @@ def cmd_baseline(cfg: dict, args) -> int:
     out_dir = _out_dir(cfg, args)
     recording_path = Path(args.recording)
     recording = read_edf(recording_path, subject_id=recording_path.stem)
-    anode, cathode = _pairs(cfg)[0]
-    samples = recording.channel(anode).samples \
-        - recording.channel(cathode).samples
-    features = envelope.envelope_features(samples,
-                                          recording.channel(anode).fs)
+    first = derive_bipolar(recording, _pairs(cfg)[:1]).channels[0]
+    features = envelope.envelope_features(first.samples, first.fs)
     trace = sst.read_sst_csv(args.sst)
     truth = None
     if args.annotations:
@@ -605,11 +545,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.jobs is not None:
-            cfg["jobs"] = args.jobs
+        flags = {"seed": args.seed, "jobs": args.jobs}
+        cfg = {**load_config(args.config),
+               **validate_config({key: value for key, value in flags.items()
+                                  if value is not None})}
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

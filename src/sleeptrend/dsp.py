@@ -41,6 +41,15 @@ class FilterSpec:
 
 
 @dataclass(frozen=True)
+class PreprocessConfig:
+    """The band-pass applied to every raw channel (see FilterSpec)."""
+
+    low_hz: float = 0.5
+    high_hz: float = 30.0
+    order: int = 4
+
+
+@dataclass(frozen=True)
 class ArtifactConfig:
     """Raw-signal rejection limits, applied per 1-minute window."""
 
@@ -55,8 +64,9 @@ class PreprocessReport:
     rejected: tuple[int, ...]
 
 
-def design_butter_bandpass(low_hz: float = 0.5, high_hz: float = 30.0,
-                           order: int = 4, fs: float = 256.0) -> FilterSpec:
+def design_butter_bandpass(low_hz: float, high_hz: float,
+                           order: int = PreprocessConfig.order,
+                           fs: float = 256.0) -> FilterSpec:
     """Design the band-pass filter for one sampling rate.
 
     Raises NyquistViolation when the band does not fit below fs/2. The
@@ -182,8 +192,7 @@ def segment_epochs(x: np.ndarray, valid: list[bool] | None = None,
 
 
 def preprocess_channel(samples: np.ndarray, fs_in: float, channel: str,
-                       low_hz: float = 0.5, high_hz: float = 30.0,
-                       order: int = 4,
+                       preprocess: PreprocessConfig = PreprocessConfig(),
                        artifact: ArtifactConfig = ArtifactConfig(),
                        ) -> tuple[tuple[np.ndarray, np.ndarray],
                                   PreprocessReport]:
@@ -206,8 +215,8 @@ def preprocess_channel(samples: np.ndarray, fs_in: float, channel: str,
     if not np.isfinite(x).all():
         x = np.nan_to_num(x, nan=0.0, posinf=0.0, neginf=0.0)
 
-    spec = design_butter_bandpass(low_hz=low_hz, high_hz=high_hz,
-                                  order=order, fs=fs_in)
+    spec = design_butter_bandpass(preprocess.low_hz, preprocess.high_hz,
+                                  order=preprocess.order, fs=fs_in)
     filtered = filter_zero_phase(x, spec)
     at_target = resample(filtered, fs_in, TARGET_FS)
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import dsp
-from .dsp import ArtifactConfig, PreprocessReport
+from .dsp import ArtifactConfig, PreprocessConfig, PreprocessReport
 from .errors import DataError
 from .recording import (AnnotationTrack, Recording, derive_bipolar,
                         epoch_labels, read_annotations, read_edf)
@@ -27,8 +27,7 @@ TRUTH_SCORER = "truth"
 
 def preprocess_recording(recording: Recording,
                          pairs: Sequence[Sequence[str]] = BIPOLAR_PAIRS,
-                         low_hz: float = 0.5, high_hz: float = 30.0,
-                         order: int = 4,
+                         preprocess: PreprocessConfig = PreprocessConfig(),
                          artifact: ArtifactConfig = ArtifactConfig(),
                          ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]],
                                     dict[str, PreprocessReport]]:
@@ -39,25 +38,21 @@ def preprocess_recording(recording: Recording,
     reports: dict[str, PreprocessReport] = {}
     for ch in bipolar.channels:
         epochs[ch.label], reports[ch.label] = dsp.preprocess_channel(
-            ch.samples, ch.fs, ch.label, low_hz=low_hz, high_hz=high_hz,
-            order=order, artifact=artifact)
+            ch.samples, ch.fs, ch.label, preprocess, artifact)
     return epochs, reports
 
 
 def assemble_subject(recording: Recording,
                      tracks: Mapping[str, AnnotationTrack],
                      pairs: Sequence[Sequence[str]] = BIPOLAR_PAIRS,
-                     low_hz: float = 0.5, high_hz: float = 30.0,
-                     order: int = 4,
+                     preprocess: PreprocessConfig = PreprocessConfig(),
                      artifact: ArtifactConfig = ArtifactConfig(),
                      ) -> SubjectData:
     """Preprocess a recording and align per-scorer epoch labels to it."""
     if not tracks:
         raise DataError(
             f"subject {recording.subject_id}: no annotation tracks")
-    epochs, _ = preprocess_recording(recording, pairs, low_hz=low_hz,
-                                     high_hz=high_hz, order=order,
-                                     artifact=artifact)
+    epochs, _ = preprocess_recording(recording, pairs, preprocess, artifact)
     counts = {len(x) for x, _ in epochs.values()}
     if len(counts) != 1:
         raise DataError(f"subject {recording.subject_id}: channels "
@@ -88,8 +83,7 @@ def scorer_tracks(data_dir: str | Path,
 
 def load_subject(data_dir: str | Path, subject_id: str,
                  pairs: Sequence[Sequence[str]] = BIPOLAR_PAIRS,
-                 low_hz: float = 0.5, high_hz: float = 30.0,
-                 order: int = 4,
+                 preprocess: PreprocessConfig = PreprocessConfig(),
                  artifact: ArtifactConfig = ArtifactConfig(),
                  ) -> tuple[SubjectData, AnnotationTrack | None]:
     """One subject from disk: preprocessed epochs with scorer labels,
@@ -104,16 +98,14 @@ def load_subject(data_dir: str | Path, subject_id: str,
             raise DataError(f"subject {subject_id}: no annotation files "
                             f"in {data_dir}")
         tracks = {TRUTH_SCORER: truth}
-    subject = assemble_subject(recording, tracks, pairs, low_hz=low_hz,
-                               high_hz=high_hz, order=order,
-                               artifact=artifact)
+    subject = assemble_subject(recording, tracks, pairs, preprocess,
+                               artifact)
     return subject, truth
 
 
 def load_cohort(data_dir: str | Path,
                 pairs: Sequence[Sequence[str]] = BIPOLAR_PAIRS,
-                low_hz: float = 0.5, high_hz: float = 30.0,
-                order: int = 4,
+                preprocess: PreprocessConfig = PreprocessConfig(),
                 artifact: ArtifactConfig = ArtifactConfig(),
                 ) -> tuple[list[SubjectData],
                            dict[str, AnnotationTrack | None]]:
@@ -125,8 +117,7 @@ def load_cohort(data_dir: str | Path,
     truths: dict[str, AnnotationTrack | None] = {}
     for subject_id in ids:
         subject, truth = load_subject(data_dir, subject_id, pairs,
-                                      low_hz=low_hz, high_hz=high_hz,
-                                      order=order, artifact=artifact)
+                                      preprocess, artifact)
         subjects.append(subject)
         truths[subject_id] = truth
     return subjects, truths

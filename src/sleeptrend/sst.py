@@ -13,7 +13,7 @@ splits detected intervals, and breaks the plotted line.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,8 +23,15 @@ from . import dsp
 from .errors import ConfigError, EvenWindow, LengthMismatch, ShapeMismatch
 from .labels import EPOCH_S, GAP, Label
 
-DEFAULT_THRESHOLD = 0.5
-DEFAULT_WINDOW = 5
+
+@dataclass(frozen=True)
+class SstConfig:
+    """How the trend is fused, smoothed and cut: `weights` maps channel
+    names to fusion weights (equal weights when None)."""
+
+    threshold: float = 0.5
+    smooth_window: int = 5
+    weights: dict[str, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,15 @@ def _norm_weights(probs: ProbSeries, weights) -> np.ndarray:
     return w
 
 
+def decide(series: np.ndarray, threshold: float) -> list[str]:
+    """Per-epoch decision: Gap where the value is NaN, quiet sleep at or
+    above the threshold, active sleep below it."""
+    return [GAP if not np.isfinite(value)
+            else str(Label.QS) if value >= threshold
+            else str(Label.AS)
+            for value in np.asarray(series, dtype=float)]
+
+
 def fuse_channels(probs: ProbSeries, weights=None) -> np.ndarray:
     """Weighted mean over the channels present at each epoch; the weights
     are renormalized over whichever channels are present. All-missing
@@ -84,7 +100,7 @@ def fuse_channels(probs: ProbSeries, weights=None) -> np.ndarray:
     return fused
 
 
-def median_smooth(series: np.ndarray, window: int = DEFAULT_WINDOW
+def median_smooth(series: np.ndarray, window: int = SstConfig.smooth_window
                   ) -> np.ndarray:
     """Centered moving median. The window shrinks symmetrically near the
     edges; NaN entries are excluded from neighboring windows and stay NaN
@@ -146,8 +162,8 @@ class SstTrace:
 
 
 def compute_sst(probs: ProbSeries, weights=None,
-                window: int = DEFAULT_WINDOW,
-                threshold: float = DEFAULT_THRESHOLD) -> SstTrace:
+                window: int = SstConfig.smooth_window,
+                threshold: float = SstConfig.threshold) -> SstTrace:
     """Fuse, band, smooth, and decide. The decision is taken on the
     smoothed trend: quiet sleep when it reaches the threshold, Gap when
     no channel survived artifact rejection."""
@@ -161,13 +177,9 @@ def compute_sst(probs: ProbSeries, weights=None,
             p_min[any_present] = np.nanmin(probs.values[any_present], axis=1)
             p_max[any_present] = np.nanmax(probs.values[any_present], axis=1)
     smoothed = median_smooth(fused, window)
-    decisions = tuple(
-        GAP if not np.isfinite(smoothed[i])
-        else str(Label.QS) if smoothed[i] >= threshold
-        else str(Label.AS)
-        for i in range(probs.n_epochs))
     return SstTrace(p_mean=fused, p_min=p_min, p_max=p_max,
-                    p_smoothed=smoothed, decisions=decisions)
+                    p_smoothed=smoothed,
+                    decisions=tuple(decide(smoothed, threshold)))
 
 
 @dataclass(frozen=True)
@@ -180,24 +192,47 @@ class QsInterval:
             raise ConfigError("empty interval")
 
 
+def _runs(mask: Sequence[bool]) -> list[tuple[int, int]]:
+    """Half-open [start, end) spans of consecutive true entries."""
+    runs = []
+    start = None
+    for i, flag in enumerate(mask):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(mask)))
+    return runs
+
+
 def detect_dqs(trace: SstTrace,
-               threshold: float = DEFAULT_THRESHOLD) -> list[QsInterval]:
+               threshold: float = SstConfig.threshold) -> list[QsInterval]:
     """Maximal runs of smoothed probability at or above the threshold.
     Gaps always terminate a run."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold {threshold} must sit in (0, 1)")
-    intervals = []
-    start = None
-    for i, value in enumerate(trace.p_smoothed):
-        hit = np.isfinite(value) and value >= threshold
-        if hit and start is None:
-            start = i
-        elif not hit and start is not None:
-            intervals.append(QsInterval(start, i))
-            start = None
-    if start is not None:
-        intervals.append(QsInterval(start, len(trace)))
-    return intervals
+    hits = [d == str(Label.QS) for d in decide(trace.p_smoothed, threshold)]
+    return [QsInterval(a, b) for a, b in _runs(hits)]
+
+
+def build_trend(predictions: Mapping[str, np.ndarray],
+                cfg: SstConfig = SstConfig(),
+                ) -> tuple[SstTrace, list[QsInterval]]:
+    """The trend of per-channel predictions and its quiet-sleep
+    intervals. Configured weights are matched to channels by name, and
+    every predicted channel needs one."""
+    probs = ProbSeries.from_predictions(predictions)
+    weights = None
+    if cfg.weights is not None:
+        missing = sorted(set(probs.channels) - set(cfg.weights))
+        if missing:
+            raise ConfigError(f"sst.weights: missing channel(s) {missing}")
+        weights = [cfg.weights[c] for c in probs.channels]
+    trace = compute_sst(probs, weights=weights, window=cfg.smooth_window,
+                        threshold=cfg.threshold)
+    return trace, detect_dqs(trace, cfg.threshold)
 
 
 def compute_aeeg(samples: np.ndarray, fs: float = dsp.TARGET_FS
@@ -298,24 +333,10 @@ def _aeeg_y(uv: float, top: float, height: float) -> float:
     return top + height * (1.0 - frac)
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask)))
-    return runs
-
-
 def render_svg(trace: SstTrace, dqs: Sequence[QsInterval] = (),
-               annotations: Mapping[str, Sequence[str]] | None = None,
+               annotations: Mapping[str, Sequence[Label | str]] | None = None,
                aeeg: tuple[np.ndarray, np.ndarray] | None = None,
-               threshold: float = DEFAULT_THRESHOLD) -> str:
+               threshold: float = SstConfig.threshold) -> str:
     """Deterministic SVG chart: the trend with its min/max shadow and
     threshold line, dichotomic QS bars, optional annotation strips, and
     an optional semilogarithmic companion trend below."""
@@ -387,33 +408,28 @@ def render_svg(trace: SstTrace, dqs: Sequence[QsInterval] = (),
                          f'stroke="black" stroke-width="1.2"/>')
 
     # DQS bars and annotation strips
-    strip_y = axis_y + 16.0
-    parts.append(f'<text x="{_fmt(MARGIN_LEFT - 6)}" '
-                 f'y="{_fmt(strip_y + STRIP_HEIGHT - 3)}" '
-                 f'font-family="sans-serif" font-size="9" fill="#444" '
-                 f'text-anchor="end">DQS</text>')
-    for qs in dqs:
-        parts.append(
-            f'<rect x="{_fmt(x_at(qs.start_epoch))}" y="{_fmt(strip_y)}" '
-            f'width="{_fmt(x_at(qs.end_epoch) - x_at(qs.start_epoch))}" '
-            f'height="{_fmt(STRIP_HEIGHT)}" fill="#1f4e79"/>')
-    strip_y += STRIP_HEIGHT + STRIP_PAD
-
-    for expert in sorted(annotations or {}):
-        labels = list((annotations or {})[expert])
+    def strip(name: str, y: float, spans) -> None:
+        """A labelled strip of (start epoch, end epoch, fill) bars."""
         parts.append(f'<text x="{_fmt(MARGIN_LEFT - 6)}" '
-                     f'y="{_fmt(strip_y + STRIP_HEIGHT - 3)}" '
+                     f'y="{_fmt(y + STRIP_HEIGHT - 3)}" '
                      f'font-family="sans-serif" font-size="9" fill="#444" '
-                     f'text-anchor="end">{expert}</text>')
-        for value in sorted({str(v) for v in labels}):
-            fill = _LABEL_FILL.get(value, "#e0e0e0")
-            mask = np.array([str(v) == value for v in labels])
-            for a, b in _runs(mask):
-                parts.append(
-                    f'<rect x="{_fmt(x_at(a))}" y="{_fmt(strip_y)}" '
-                    f'width="{_fmt(x_at(b) - x_at(a))}" '
-                    f'height="{_fmt(STRIP_HEIGHT)}" fill="{fill}"/>')
+                     f'text-anchor="end">{name}</text>')
+        for a, b, fill in spans:
+            parts.append(
+                f'<rect x="{_fmt(x_at(a))}" y="{_fmt(y)}" '
+                f'width="{_fmt(x_at(b) - x_at(a))}" '
+                f'height="{_fmt(STRIP_HEIGHT)}" fill="{fill}"/>')
+
+    strip_y = axis_y + 16.0
+    strip("DQS", strip_y,
+          [(qs.start_epoch, qs.end_epoch, "#1f4e79") for qs in dqs])
+    for expert in sorted(annotations or {}):
         strip_y += STRIP_HEIGHT + STRIP_PAD
+        labels = [str(v) for v in annotations[expert]]
+        strip(expert, strip_y,
+              [(a, b, _LABEL_FILL.get(value, "#e0e0e0"))
+               for value in sorted(set(labels))
+               for a, b in _runs([v == value for v in labels])])
 
     if aeeg is not None:
         lower, upper = aeeg

@@ -70,6 +70,7 @@ class SynthConfig:
     ibi_peak_uv: tuple[float, float] = (5.0, 25.0)
     ibi_s: tuple[float, float] = (3.0, 10.0)
     artifact_rate_per_hour: float = 2.0
+    jitter_s: float = 30.0  # largest boundary shift of scorer e2
 
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 63:
@@ -85,6 +86,8 @@ class SynthConfig:
         if self.artifact_rate_per_hour < 0:
             raise ConfigError(
                 f"artifact rate {self.artifact_rate_per_hour} is negative")
+        if self.jitter_s < 0:
+            raise ConfigError(f"jitter {self.jitter_s} s is negative")
         for name in ("cycle_min", "as_rms_uv", "burst_peak_uv", "burst_s",
                      "ibi_peak_uv", "ibi_s"):
             _check_range(name, getattr(self, name))
@@ -352,7 +355,8 @@ def inject_noise(recording: Recording, kind: str, amplitude_uv: float,
 
 
 def write_dataset(generated: list[tuple[Recording, GroundTruth]],
-                  out_dir: str | Path, jitter_s: float = 30.0) -> list[Path]:
+                  out_dir: str | Path,
+                  jitter_s: float = SynthConfig.jitter_s) -> list[Path]:
     """EDF plus three annotation files per subject.
 
     Scorer e1 matches ground truth exactly; scorer e2 is the truth with

@@ -29,6 +29,7 @@ from .labels import Label
 # class order of the softmax head: probs[1] is the quiet-sleep probability
 CLASSES = (Label.AS, Label.QS)
 CLASS_INDEX = {label: i for i, label in enumerate(CLASSES)}
+# early-stopping patience of a `crossval` fold unless the config sets one
 LOSO_PATIENCE = 20
 
 
@@ -47,6 +48,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # not 2**63 as for synth: fold_seed draws from all of [0, 2**64)
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed {self.seed} outside [0, 2**64)")
         if self.lr <= 0:
             raise ConfigError(f"lr {self.lr} must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -289,8 +293,7 @@ def _mean_val_loss(model: nn.Model, x: np.ndarray, y: np.ndarray,
     return total / len(x)
 
 
-def train(dataset: Dataset, cfg: TrainConfig,
-          stop_patience: int | None = None) -> tuple[nn.Model, History]:
+def train(dataset: Dataset, cfg: TrainConfig) -> tuple[nn.Model, History]:
     """Fit the reference network, returning the parameters from the epoch
     with the best inner-validation loss."""
     if len(dataset) == 0:
@@ -300,8 +303,6 @@ def train(dataset: Dataset, cfg: TrainConfig,
     if missing:
         raise SingleClassDataset(
             f"no {'/'.join(str(c) for c in missing)} samples in dataset")
-    patience = cfg.early_stop_patience if stop_patience is None \
-        else stop_patience
 
     train_idx, val_idx = split_train_val(dataset, cfg.inner_val_fraction,
                                          cfg.seed)
@@ -319,8 +320,8 @@ def train(dataset: Dataset, cfg: TrainConfig,
                                                     model.params))
               for name in nn.TRAINABLE.get(spec.kind, ())}
 
-    schedule = PlateauSchedule(cfg.lr, patience, cfg.lr_plateau,
-                               cfg.lr_factor)
+    schedule = PlateauSchedule(cfg.lr, cfg.early_stop_patience,
+                               cfg.lr_plateau, cfg.lr_factor)
     shuffle_rng = np.random.default_rng([cfg.seed, 11])
     dropout_rng = np.random.default_rng([cfg.seed, 12])
     history = History(train_idx=train_idx, val_idx=val_idx)
@@ -396,7 +397,7 @@ def _run_fold(subject_id: str, subjects: list[SubjectData],
     rest = [s for s in subjects if s.subject_id != subject_id]
     dataset = build_dataset(rest, channels=train_channels)
     fold_cfg = replace(cfg, seed=fold_seed(cfg.seed, subject_id))
-    model, history = train(dataset, fold_cfg, stop_patience=LOSO_PATIENCE)
+    model, history = train(dataset, fold_cfg)
     predictions = {channel: infer_channel(model, *held_out.epochs[channel])
                    for channel in sorted(held_out.epochs)}
     checkpoint = None
@@ -421,7 +422,7 @@ def loso(subjects: Sequence[SubjectData], cfg: TrainConfig,
          out_dir: str | Path | None = None, jobs: int = 1,
          train_channels: Sequence[str] | None = None) -> list[FoldResult]:
     """Leave-one-subject-out cross-validation: one fold per subject,
-    trained on the rest with inner-validation patience 20, predictions
+    trained on the rest with cfg's inner-validation patience, predictions
     recorded per channel for every held-out epoch.
 
     train_channels restricts which channels feed the fold's training set;

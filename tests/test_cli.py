@@ -4,17 +4,35 @@ byte-level reproducibility of the cross-validation outputs."""
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sleeptrend import cli
+from sleeptrend import cli, training
 from sleeptrend.errors import ConfigError
+from sleeptrend.recording import ChannelSignal, Recording, write_edf
 from sleeptrend.sst import read_sst_csv
 
 SMALL_SYNTH = {"seed": 7, "synth": {"n_subjects": 2, "duration_min": 12.0}}
 SMALL_TRAIN = {"max_epochs": 2, "batch_size": 32}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# every key a config document may set, as dotted paths
+ACCEPTED_KEYS = {
+    "seed", "jobs", "data_dir", "out_dir", "channel_pairs", "train_channels",
+    "synth.n_subjects", "synth.duration_min", "synth.cycle_min",
+    "synth.qs_fraction", "synth.as_rms_uv", "synth.burst_peak_uv",
+    "synth.burst_s", "synth.ibi_peak_uv", "synth.ibi_s",
+    "synth.artifact_rate_per_hour", "synth.jitter_s",
+    "preprocess.low_hz", "preprocess.high_hz", "preprocess.order",
+    "artifact.amp_limit_uv", "artifact.flat_run_s",
+    "train.lr", "train.beta1", "train.beta2", "train.eps",
+    "train.batch_size", "train.max_epochs", "train.early_stop_patience",
+    "train.lr_factor", "train.lr_plateau", "train.inner_val_fraction",
+    "sst.threshold", "sst.smooth_window", "sst.weights",
+}
 
 
 def write_config(directory, doc):
@@ -26,6 +44,25 @@ def write_config(directory, doc):
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def dotted_keys(doc, schema=cli.SCHEMA, prefix=""):
+    """The dotted paths of a document's keys, down to the schema's
+    leaves (so sst.weights is one key, whatever channels it names)."""
+    keys = set()
+    for key, value in doc.items():
+        if isinstance(schema[key], dict):
+            keys |= dotted_keys(value, schema[key], f"{prefix}{key}.")
+        else:
+            keys.add(prefix + key)
+    return keys
+
+
+def readme_reference():
+    """README's "Configuration reference" block, without its comments."""
+    section = README.read_text().split("## Configuration reference", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return json.loads(re.sub(r"//[^\n]*", "", block))
 
 
 class TestConfigSchema:
@@ -88,6 +125,20 @@ class TestConfigSchema:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             cli.load_config(str(tmp_path / "absent.json"))
+
+    def test_accepted_key_set_is_pinned(self):
+        assert len(ACCEPTED_KEYS) == 35
+        assert dotted_keys(cli.SCHEMA) == ACCEPTED_KEYS
+
+    def test_readme_reference_matches_schema(self):
+        doc = readme_reference()
+        cli.validate_config(doc)
+        assert dotted_keys(doc) == dotted_keys(cli.SCHEMA)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            cli.validate_config({"jobs": jobs})
 
 
 class TestExitCodes:
@@ -197,6 +248,16 @@ class TestTrainCommand:
         manifest = json.loads((out / "model.json").read_text())
         assert manifest["metadata"]["best_epoch"] >= 0
 
+    def test_negative_seed_exits_2(self, data_dir, tmp_path, capsys):
+        doc = {"data_dir": str(data_dir), "train": SMALL_TRAIN}
+        flag = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", flag, "--seed", "-1",
+                         "--out", str(tmp_path / "flag")]) == 2
+        key = write_config(tmp_path, {**doc, "seed": -1})
+        assert cli.main(["train", "--config", key,
+                         "--out", str(tmp_path / "key")]) == 2
+        assert "seed -1" in capsys.readouterr().err
+
 
 class TestCrossvalCommand:
     def test_outputs_per_fold(self, crossval_dir):
@@ -238,6 +299,34 @@ class TestCrossvalCommand:
                      "fold_s02.bin", "fold_s01.sst.csv", "fold_s01.svg"):
             assert (again / name).read_bytes() \
                 == (crossval_dir / name).read_bytes(), name
+
+
+    def test_jobs_flag_below_one_exits_2(self, data_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"data_dir": str(data_dir),
+                                      "train": SMALL_TRAIN})
+        assert cli.main(["crossval", "--config", cfg, "--jobs", "0",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "jobs" in capsys.readouterr().err
+
+    def test_patience_is_loso_default_unless_configured(
+            self, data_dir, tmp_path, monkeypatch):
+        seen = []
+
+        class Spy(training.PlateauSchedule):
+            def __init__(self, lr, patience, *args):
+                seen.append(patience)
+                super().__init__(lr, patience, *args)
+
+        monkeypatch.setattr(training, "PlateauSchedule", Spy)
+        tiny = {"max_epochs": 1, "batch_size": 32}
+        for train, expected in ((tiny, training.LOSO_PATIENCE),
+                                ({**tiny, "early_stop_patience": 1}, 1)):
+            seen.clear()
+            cfg = write_config(tmp_path, {"seed": 7, "data_dir": str(data_dir),
+                                          "train": train})
+            assert cli.main(["crossval", "--config", cfg, "--out",
+                             str(tmp_path / f"patience_{expected}")]) == 0
+            assert seen == [expected, expected]
 
 
 class TestInferCommand:
@@ -313,3 +402,16 @@ class TestBaselineCommand:
         assert set(doc) == {"pearson_mean", "pearson_std",
                             "roc_mean", "roc_std"}
         assert len(read_rows(out / "envelope.csv")) == 12
+
+    def test_mixed_rate_pair_exits_3(self, crossval_dir, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        recording = Recording("m01", 120.0, [
+            ChannelSignal("F3", 256.0, rng.normal(0.0, 20.0, 120 * 256)),
+            ChannelSignal("P3", 128.0, rng.normal(0.0, 20.0, 120 * 128))])
+        write_edf(recording, tmp_path / "m01.edf")
+        code = cli.main([
+            "baseline", "--recording", str(tmp_path / "m01.edf"),
+            "--sst", str(crossval_dir / "fold_s01.sst.csv"),
+            "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "rates 256.0 vs 128.0 differ" in capsys.readouterr().err

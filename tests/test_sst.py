@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from helpers import tone_amplitude
 from sleeptrend.errors import ConfigError, EvenWindow, ShapeMismatch
 from sleeptrend.labels import GAP, Label
-from sleeptrend.sst import (ProbSeries, QsInterval, SstTrace, compute_aeeg,
-                            compute_sst, detect_dqs, fuse_channels,
-                            median_smooth, read_sst_csv, render_svg,
-                            write_dqs_csv, write_sst_csv)
+from sleeptrend.sst import (ProbSeries, QsInterval, SstConfig, SstTrace,
+                            build_trend, compute_aeeg, compute_sst, decide,
+                            detect_dqs, fuse_channels, median_smooth,
+                            read_sst_csv, render_svg, write_dqs_csv,
+                            write_sst_csv)
 
 NAN = float("nan")
 
@@ -235,6 +236,30 @@ class TestDetectDqs:
         expected = {i for i, v in enumerate(trace.p_smoothed)
                     if np.isfinite(v) and v >= 0.3}
         assert low == expected
+
+
+class TestBuildTrend:
+    PREDICTIONS = {"B": np.array([0.9, 0.2, NAN, 0.7]),
+                   "A": np.array([0.1, 0.4, NAN, 0.8])}
+
+    def test_decide_boundaries(self):
+        assert decide([0.5, 0.49, NAN, 1.0], 0.5) \
+            == [str(Label.QS), str(Label.AS), GAP, str(Label.QS)]
+
+    def test_weights_align_by_channel_name(self):
+        cfg = SstConfig(threshold=0.4, smooth_window=3,
+                        weights={"B": 3.0, "A": 1.0})
+        trace, dqs = build_trend(self.PREDICTIONS, cfg)
+        # channels sort to (A, B), so the weights line up as [1, 3]
+        expected = compute_sst(ProbSeries.from_predictions(self.PREDICTIONS),
+                               weights=[1.0, 3.0], window=3, threshold=0.4)
+        np.testing.assert_array_equal(trace.p_mean, expected.p_mean)
+        assert trace.decisions == expected.decisions
+        assert dqs == detect_dqs(expected, 0.4)
+
+    def test_missing_weight_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"sst\.weights.*'B'"):
+            build_trend(self.PREDICTIONS, SstConfig(weights={"A": 1.0}))
 
 
 class TestAeeg:

@@ -37,6 +37,7 @@ class TestConfig:
         {"as_rms_uv": (0.0, 30.0)},
         {"burst_s": (-1.0, 2.0)},
         {"artifact_rate_per_hour": -0.5},
+        {"jitter_s": -1.0},
     ])
     def test_invalid_values_rejected(self, override):
         with pytest.raises(ConfigError):

@@ -102,11 +102,16 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"lr": 0.0}, {"beta1": 1.0}, {"beta2": -0.1}, {"batch_size": 0},
         {"inner_val_fraction": 0.0}, {"inner_val_fraction": 1.0},
-        {"max_epochs": 0},
+        {"max_epochs": 0}, {"seed": -1}, {"seed": 2 ** 64},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    def test_fold_seeds_are_valid(self):
+        # fold_seed draws from the whole unsigned 64-bit range
+        assert TrainConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+        assert TrainConfig(seed=fold_seed(0, "s05")).seed >= 2 ** 63
 
 
 class TestPlateauSchedule:
