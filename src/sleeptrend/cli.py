@@ -375,12 +375,15 @@ def cmd_train(cfg: dict, args) -> int:
 
 def cmd_crossval(cfg: dict, args) -> int:
     out_dir = _out_dir(cfg, args)
-    subjects, truths = pipeline.load_cohort(
-        _data_dir(cfg), _pairs(cfg), _section(cfg, "preprocess"),
-        _section(cfg, "artifact"))
     sst_cfg = _section(cfg, "sst")
     train_cfg = _section(cfg, "train",
                          early_stop_patience=training.LOSO_PATIENCE)
+    subjects, truths = pipeline.load_cohort(
+        _data_dir(cfg), _pairs(cfg), _section(cfg, "preprocess"),
+        _section(cfg, "artifact"))
+    # every held-out channel is predicted, so each needs a fusion weight
+    sst_cfg.channel_weights(sorted({channel for subject in subjects
+                                    for channel in subject.epochs}))
     folds = training.loso(subjects, train_cfg, out_dir=out_dir,
                           jobs=cfg.get("jobs", 1),
                           train_channels=cfg.get("train_channels"))
@@ -418,6 +421,7 @@ def cmd_crossval(cfg: dict, args) -> int:
 
 def cmd_infer(cfg: dict, args) -> int:
     out_dir = _out_dir(cfg, args)
+    sst_cfg = _section(cfg, "sst")
     model, _ = nn.load_checkpoint(args.checkpoint)
     recording_path = Path(args.recording)
     recording = read_edf(recording_path, subject_id=recording_path.stem)
@@ -427,7 +431,6 @@ def cmd_infer(cfg: dict, args) -> int:
         _section(cfg, "artifact"))
     predictions = {channel: training.infer_channel(model, x, valid)
                    for channel, (x, valid) in epochs.items()}
-    sst_cfg = _section(cfg, "sst")
     trace, dqs = sst.build_trend(predictions, sst_cfg)
 
     first = derive_bipolar(recording, pairs[:1]).channels[0]
@@ -453,11 +456,11 @@ def cmd_infer(cfg: dict, args) -> int:
 
 def cmd_eval(cfg: dict, args) -> int:
     out_dir = _out_dir(cfg, args)
+    threshold = _section(cfg, "sst").threshold
     trace = sst.read_sst_csv(args.sst)
     track = read_annotations(args.annotations)
     reference = epoch_labels(track, len(trace))
-    scores = _score_series(reference, trace.p_smoothed,
-                           _section(cfg, "sst").threshold)
+    scores = _score_series(reference, trace.p_smoothed, threshold)
     path = out_dir / "eval.json"
     _write_json(path, scores)
     _write_manifest(out_dir, "eval", cfg, [path])

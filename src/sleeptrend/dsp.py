@@ -20,6 +20,7 @@ from .labels import EPOCH_S
 
 TARGET_FS = 64.0
 EPOCH_SAMPLES = 3840  # 60 s at 64 Hz
+_FILTER_BLOCK = 1 << 16  # samples per sosfilt call in filter_zero_phase
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,8 @@ def _settle_samples(sos: np.ndarray) -> int:
     return int(math.ceil(math.log(1e-6) / math.log(radius)))
 
 
-def filter_zero_phase(x: np.ndarray, spec: FilterSpec) -> np.ndarray:
+def filter_zero_phase(x: np.ndarray, spec: FilterSpec,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Forward-backward filtering: zero phase, squared magnitude.
 
     The signal is extended by even reflection before filtering. An even
@@ -113,6 +115,12 @@ def filter_zero_phase(x: np.ndarray, spec: FilterSpec) -> np.ndarray:
     the pad by twice the edge value and leaves a visible transient. The
     pad length covers the slowest pole's settling time when the signal
     is long enough, and shrinks to fit otherwise.
+
+    The result is bitwise equal to
+    `signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)`, but the
+    two passes run block by block into `out` (a new array by default), so
+    no padded copy of the signal is made: the pads only carry the filter
+    state. `out` may be `x` itself, which is then overwritten.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -121,8 +129,28 @@ def filter_zero_phase(x: np.ndarray, spec: FilterSpec) -> np.ndarray:
     if x.size <= min_pad:
         raise TooShortSignal(
             f"{x.size} samples, zero-phase filtering needs > {min_pad}")
+    if out is None:
+        out = np.empty_like(x)
+    elif out.shape != x.shape or out.dtype != np.float64:
+        raise ShapeMismatch(f"out {out.dtype}{out.shape} for float64 signal "
+                            f"of shape {x.shape}")
     padlen = min(x.size - 1, max(min_pad, _settle_samples(spec.sos)))
-    return signal.sosfiltfilt(spec.sos, x, padtype="even", padlen=padlen)
+    sos, n = spec.sos, x.size
+    zi = signal.sosfilt_zi(sos)
+    # The even extension is x[padlen:0:-1] + x + x[-2:-(padlen + 2):-1];
+    # the right pad's source is saved before `out` may overwrite it.
+    right = x[-2:-(padlen + 2):-1].copy()
+    _, state = signal.sosfilt(sos, x[padlen:0:-1], zi=zi * x[padlen])
+    for start in range(0, n, _FILTER_BLOCK):
+        stop = min(start + _FILTER_BLOCK, n)
+        out[start:stop], state = signal.sosfilt(sos, x[start:stop], zi=state)
+    tail, _ = signal.sosfilt(sos, right, zi=state)
+    _, state = signal.sosfilt(sos, tail[::-1], zi=zi * tail[-1])
+    for stop in range(n, 0, -_FILTER_BLOCK):
+        start = max(0, stop - _FILTER_BLOCK)
+        block, state = signal.sosfilt(sos, out[start:stop][::-1], zi=state)
+        out[start:stop] = block[::-1]
+    return out
 
 
 def resample(x: np.ndarray, fs_in: float, fs_out: float) -> np.ndarray:
@@ -194,6 +222,7 @@ def segment_epochs(x: np.ndarray, valid: list[bool] | None = None,
 def preprocess_channel(samples: np.ndarray, fs_in: float, channel: str,
                        preprocess: PreprocessConfig = PreprocessConfig(),
                        artifact: ArtifactConfig = ArtifactConfig(),
+                       *, overwrite: bool = False,
                        ) -> tuple[tuple[np.ndarray, np.ndarray],
                                   PreprocessReport]:
     """Run the fixed conditioning chain on one raw channel; returns the
@@ -204,6 +233,10 @@ def preprocess_channel(samples: np.ndarray, fs_in: float, channel: str,
     whose raw minute was rejected come back invalid. Non-finite raw
     samples, which always reject their minute, are zeroed before the
     band-pass so they cannot spread into the valid minutes around them.
+
+    `samples` is left untouched unless `overwrite` is set; then a float64
+    `samples` is zeroed and band-passed in place, and no signal-sized
+    array is allocated.
     """
     x = np.asarray(samples, dtype=np.float64)
     window = int(round(EPOCH_S * fs_in))
@@ -213,11 +246,13 @@ def preprocess_channel(samples: np.ndarray, fs_in: float, channel: str,
         if _window_is_artifact(x[i * window:(i + 1) * window], fs_in,
                                artifact))
     if not np.isfinite(x).all():
-        x = np.nan_to_num(x, nan=0.0, posinf=0.0, neginf=0.0)
+        x = np.nan_to_num(x, copy=not overwrite, nan=0.0, posinf=0.0,
+                          neginf=0.0)
+        overwrite = True  # x is a copy now, or was ours to change
 
     spec = design_butter_bandpass(preprocess.low_hz, preprocess.high_hz,
                                   order=preprocess.order, fs=fs_in)
-    filtered = filter_zero_phase(x, spec)
+    filtered = filter_zero_phase(x, spec, out=x if overwrite else None)
     at_target = resample(filtered, fs_in, TARGET_FS)
 
     flags = np.ones(n_windows, dtype=bool)

@@ -127,13 +127,13 @@ def read_edf(path: str | Path) -> EdfFile:
         raise MalformedHeader(f"non-positive samples-per-record in {spr}")
     record_samples = sum(spr)
 
-    payload = raw[header_bytes:]
+    payload_bytes = len(raw) - header_bytes
     expected = n_records * record_samples * 2
-    if len(payload) != expected:
+    if payload_bytes != expected:
         raise InconsistentRecordLength(
-            f"payload is {len(payload)} bytes, header implies {expected}")
-    data = np.frombuffer(payload, dtype="<i2").reshape(n_records,
-                                                       record_samples)
+            f"payload is {payload_bytes} bytes, header implies {expected}")
+    data = np.frombuffer(raw, dtype="<i2", offset=header_bytes).reshape(
+        n_records, record_samples)
 
     channels = []
     col = 0
@@ -150,12 +150,16 @@ def read_edf(path: str | Path) -> EdfFile:
             raise UnsupportedTransducer(
                 f"signal {label!r} has a degenerate value range")
         scale = (pmax - pmin) / (dmax - dmin)
-        digital = data[:, col:col + spr[i]].ravel().astype(np.float64)
+        # scale * (digital - dmin) + pmin, in place on one float64 copy
+        samples = data[:, col:col + spr[i]].astype(np.float64).ravel()
+        samples -= dmin
+        samples *= scale
+        samples += pmin
         col += spr[i]
         channels.append(EdfChannel(
             label=label,
             fs=spr[i] / record_duration,
-            samples=scale * (digital - dmin) + pmin,
+            samples=samples,
             units=_text(units[i]),
             transducer=_text(transducers[i]),
             prefilter=_text(prefilter[i]),

@@ -9,6 +9,8 @@ back to training on ground truth when it exists.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -17,12 +19,19 @@ import numpy as np
 from . import dsp
 from .dsp import ArtifactConfig, PreprocessConfig, PreprocessReport
 from .errors import DataError
-from .recording import (AnnotationTrack, Recording, derive_bipolar,
-                        epoch_labels, read_annotations, read_edf)
+from .recording import (AnnotationTrack, ChannelSignal, Recording,
+                        derive_bipolar, epoch_labels, read_annotations,
+                        read_edf)
 from .training import SubjectData
 
 BIPOLAR_PAIRS = (("F3", "P3"), ("F4", "P4"), ("F3", "F4"), ("P3", "P4"))
 TRUTH_SCORER = "truth"
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def preprocess_recording(recording: Recording,
@@ -32,14 +41,28 @@ def preprocess_recording(recording: Recording,
                          ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]],
                                     dict[str, PreprocessReport]]:
     """Derive bipolar channels and run the conditioning chain on each;
-    every channel maps to its epoch array and validity mask."""
+    every channel maps to its epoch array and validity mask.
+
+    The channels are conditioned concurrently, one thread each up to the
+    CPUs available; the numerical work releases the GIL. Each chain
+    filters its own bipolar array in place, so the signal-sized arrays
+    are all allocated here, on the calling thread.
+    """
     bipolar = derive_bipolar(recording, [tuple(p) for p in pairs])
-    epochs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    reports: dict[str, PreprocessReport] = {}
-    for ch in bipolar.channels:
-        epochs[ch.label], reports[ch.label] = dsp.preprocess_channel(
-            ch.samples, ch.fs, ch.label, preprocess, artifact)
-    return epochs, reports
+
+    def condition(ch: ChannelSignal):
+        return dsp.preprocess_channel(ch.samples, ch.fs, ch.label,
+                                      preprocess, artifact, overwrite=True)
+
+    workers = min(len(bipolar.channels), _available_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(condition, bipolar.channels))
+    else:
+        results = [condition(ch) for ch in bipolar.channels]
+    labels = [ch.label for ch in bipolar.channels]
+    return ({label: arrays for label, (arrays, _) in zip(labels, results)},
+            {label: report for label, (_, report) in zip(labels, results)})
 
 
 def assemble_subject(recording: Recording,

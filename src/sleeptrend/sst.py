@@ -13,6 +13,7 @@ splits detected intervals, and breaks the plotted line.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -24,14 +25,43 @@ from .errors import ConfigError, EvenWindow, LengthMismatch, ShapeMismatch
 from .labels import EPOCH_S, GAP, Label
 
 
+def _check_window(window: int, what: str = "window") -> None:
+    if window % 2 != 1 or window < 1:
+        raise EvenWindow(f"{what} {window} must be odd and positive")
+
+
+def _check_threshold(threshold: float, what: str = "threshold") -> None:
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"{what} {threshold} must sit in (0, 1)")
+
+
 @dataclass(frozen=True)
 class SstConfig:
     """How the trend is fused, smoothed and cut: `weights` maps channel
-    names to fusion weights (equal weights when None)."""
+    names to fusion weights (equal weights when None). Values that the
+    trend would reject are rejected here, before any work is done."""
 
     threshold: float = 0.5
     smooth_window: int = 5
     weights: dict[str, float] | None = None
+
+    def __post_init__(self):
+        _check_threshold(self.threshold, "sst.threshold")
+        _check_window(self.smooth_window, "sst.smooth_window")
+        for channel, weight in (self.weights or {}).items():
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ConfigError(f"sst.weights.{channel}: {weight} must be "
+                                  f"finite and non-negative")
+
+    def channel_weights(self, channels: Sequence[str]) -> list[float] | None:
+        """The configured weights in `channels` order, or None for equal
+        weights; every channel needs one."""
+        if self.weights is None:
+            return None
+        missing = sorted(set(channels) - set(self.weights))
+        if missing:
+            raise ConfigError(f"sst.weights: missing channel(s) {missing}")
+        return [self.weights[c] for c in channels]
 
 
 @dataclass(frozen=True)
@@ -114,8 +144,7 @@ def median_smooth(series: np.ndarray, window: int = SstConfig.smooth_window
     missing minute next to a state change could then flip a confidently
     classified neighbor.
     """
-    if window % 2 != 1 or window < 1:
-        raise EvenWindow(f"window {window} must be odd and positive")
+    _check_window(window)
     series = np.asarray(series, dtype=float)
     n = len(series)
     out = np.full(n, np.nan)
@@ -211,8 +240,7 @@ def detect_dqs(trace: SstTrace,
                threshold: float = SstConfig.threshold) -> list[QsInterval]:
     """Maximal runs of smoothed probability at or above the threshold.
     Gaps always terminate a run."""
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold {threshold} must sit in (0, 1)")
+    _check_threshold(threshold)
     hits = [d == str(Label.QS) for d in decide(trace.p_smoothed, threshold)]
     return [QsInterval(a, b) for a, b in _runs(hits)]
 
@@ -224,14 +252,8 @@ def build_trend(predictions: Mapping[str, np.ndarray],
     intervals. Configured weights are matched to channels by name, and
     every predicted channel needs one."""
     probs = ProbSeries.from_predictions(predictions)
-    weights = None
-    if cfg.weights is not None:
-        missing = sorted(set(probs.channels) - set(cfg.weights))
-        if missing:
-            raise ConfigError(f"sst.weights: missing channel(s) {missing}")
-        weights = [cfg.weights[c] for c in probs.channels]
-    trace = compute_sst(probs, weights=weights, window=cfg.smooth_window,
-                        threshold=cfg.threshold)
+    trace = compute_sst(probs, weights=cfg.channel_weights(probs.channels),
+                        window=cfg.smooth_window, threshold=cfg.threshold)
     return trace, detect_dqs(trace, cfg.threshold)
 
 
@@ -247,17 +269,14 @@ def compute_aeeg(samples: np.ndarray, fs: float = dsp.TARGET_FS
     """
     samples = np.asarray(samples, dtype=float)
     spec = dsp.design_butter_bandpass(2.0, 15.0, order=2, fs=fs)
-    rectified = np.abs(dsp.filter_zero_phase(samples, spec))
+    rectified = dsp.filter_zero_phase(samples, spec)
+    np.abs(rectified, out=rectified)
     win = max(1, int(round(0.5 * fs)))
     smooth = np.convolve(rectified, np.ones(win) / win, mode="same")
     per_epoch = int(round(EPOCH_S * fs))
     n_epochs = len(smooth) // per_epoch
-    lower = np.empty(n_epochs)
-    upper = np.empty(n_epochs)
-    for i in range(n_epochs):
-        seg = smooth[i * per_epoch:(i + 1) * per_epoch]
-        lower[i] = np.percentile(seg, 10)
-        upper[i] = np.percentile(seg, 90)
+    segs = smooth[:n_epochs * per_epoch].reshape(n_epochs, per_epoch)
+    lower, upper = np.percentile(segs, [10, 90], axis=1)
     return lower, upper
 
 

@@ -308,6 +308,23 @@ class TestCrossvalCommand:
                          "--out", str(tmp_path / "out")]) == 2
         assert "jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sst_section, message", [
+        ({"smooth_window": 4}, "sst.smooth_window 4"),
+        ({"threshold": 1.0}, "sst.threshold 1.0"),
+        ({"weights": {"F3-P3": -1.0}}, "sst.weights.F3-P3"),
+        ({"weights": {"F3-P3": 1.0}}, "sst.weights: missing channel"),
+    ])
+    def test_bad_sst_section_exits_2_before_training(
+            self, data_dir, tmp_path, capsys, sst_section, message):
+        cfg = write_config(tmp_path, {"seed": 7, "data_dir": str(data_dir),
+                                      "train": SMALL_TRAIN,
+                                      "sst": sst_section})
+        out = tmp_path / "out"
+        assert cli.main(["crossval", "--config", cfg, "--out",
+                         str(out)]) == 2
+        assert not list(out.glob("fold_*"))
+        assert message in capsys.readouterr().err
+
     def test_patience_is_loso_default_unless_configured(
             self, data_dir, tmp_path, monkeypatch):
         seen = []

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 from helpers import sos_gain, tone_amplitude
+from scipy import signal
 
+from sleeptrend import dsp, pipeline
 from sleeptrend.dsp import (ArtifactConfig, EPOCH_SAMPLES,
                             design_butter_bandpass, filter_zero_phase,
                             preprocess_channel, resample, segment_epochs)
-from sleeptrend.errors import (ConfigError, InvalidEpoch, NyquistViolation,
-                               ShapeMismatch, TooShortSignal)
+from sleeptrend.errors import (ConfigError, InvalidEpoch, MissingChannel,
+                               NyquistViolation, ShapeMismatch,
+                               TooShortSignal)
+from sleeptrend.recording import ChannelSignal, Recording, derive_bipolar
 from sleeptrend.training import SubjectData
 
 FS = 256.0
@@ -93,6 +97,57 @@ class TestZeroPhase:
     def test_too_short_signal(self, spec):
         with pytest.raises(TooShortSignal):
             filter_zero_phase(np.zeros(16), spec)
+
+
+class TestStreamedFilter:
+    """The block-wise passes reproduce sosfiltfilt's arithmetic exactly."""
+
+    BLOCK = dsp._FILTER_BLOCK
+
+    @staticmethod
+    def reference(x, spec):
+        # the pad length filter_zero_phase derives: the slowest pole's
+        # settling time, capped at size - 1
+        padlen = min(x.size - 1, max(3 * (2 * len(spec.sos) + 1),
+                                     dsp._settle_samples(spec.sos)))
+        return signal.sosfiltfilt(spec.sos, x, padtype="even", padlen=padlen)
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK, 2 * BLOCK + 7000])
+    def test_bitwise_equal_around_block_multiples(self, spec, n):
+        x = 30.0 * np.random.default_rng(n).standard_normal(n)
+        before = x.copy()
+        y = filter_zero_phase(x, spec)
+        assert np.array_equal(y, self.reference(x, spec))
+        assert np.array_equal(x, before)
+
+    def test_bitwise_equal_when_pad_spans_the_signal(self, spec):
+        # 200 samples is shorter than the settling time: padlen = 199
+        assert dsp._settle_samples(spec.sos) > 200
+        x = np.random.default_rng(1).standard_normal(200)
+        assert np.array_equal(filter_zero_phase(x, spec),
+                              self.reference(x, spec))
+
+    @pytest.mark.parametrize("fs, n", [(500.0, 30_000), (128.0, 70_000)])
+    def test_bitwise_equal_at_other_rates(self, fs, n):
+        other = design_butter_bandpass(0.5, 30.0, order=4, fs=fs)
+        x = np.random.default_rng(2).standard_normal(n)
+        assert np.array_equal(filter_zero_phase(x, other),
+                              self.reference(x, other))
+
+    @pytest.mark.parametrize("n", [200, BLOCK + 1, 2 * BLOCK + 7000])
+    def test_in_place(self, spec, n):
+        x = np.random.default_rng(3).standard_normal(n)
+        expected = self.reference(x, spec)
+        y = filter_zero_phase(x, spec, out=x)
+        assert y is x
+        assert np.array_equal(x, expected)
+
+    def test_out_must_match_the_signal(self, spec):
+        x = np.zeros(1000)
+        for out in (np.zeros(999), np.zeros(1000, dtype=np.float32)):
+            with pytest.raises(ShapeMismatch):
+                filter_zero_phase(x, spec, out=out)
 
 
 class TestResample:
@@ -250,3 +305,71 @@ class TestPipeline:
         assert valid.tolist() == [True, True, False, True, True]
         assert np.isfinite(epochs).all()
         assert np.array_equal(x, samples, equal_nan=True)  # input untouched
+
+    def test_input_untouched_unless_overwrite(self):
+        rng = np.random.default_rng(13)
+        x = 20.0 * rng.standard_normal(int(FS * 60 * 3))
+        samples = x.copy()
+        (epochs, valid), report = preprocess_channel(x, FS, "F3-P3")
+        assert np.array_equal(x, samples)
+        (again, again_valid), again_report = preprocess_channel(
+            x, FS, "F3-P3", overwrite=True)
+        assert np.array_equal(again, epochs)
+        assert np.array_equal(again_valid, valid)
+        assert again_report == report
+        assert not np.array_equal(x, samples)  # filtered in place
+
+
+def artifact_recording():
+    """Four referential channels with a raw amplitude artifact in minute
+    1 of F3 and a NaN sample in minute 3 of P4."""
+    rng = np.random.default_rng(21)
+    n = int(FS * 60 * 5) + 100
+    channels = {label: 20.0 * rng.standard_normal(n)
+                for label in ("F3", "F4", "P3", "P4")}
+    channels["F3"][int(FS * 75)] = 600.0
+    channels["P4"][int(FS * 200)] = np.nan
+    return Recording(subject_id="s01", duration_s=n / FS, channels=[
+        ChannelSignal(label=label, fs=FS, samples=samples)
+        for label, samples in channels.items()])
+
+
+class TestPreprocessRecording:
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_equals_a_serial_loop(self, monkeypatch, cpus):
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+        rec = artifact_recording()
+        raw = [ch.samples.copy() for ch in rec.channels]
+        epochs, reports = pipeline.preprocess_recording(rec)
+        for ch, before in zip(rec.channels, raw):
+            assert np.array_equal(ch.samples, before, equal_nan=True)
+
+        bipolar = derive_bipolar(rec, pipeline.BIPOLAR_PAIRS)
+        assert list(epochs) == list(reports) == bipolar.labels
+        for ch in bipolar.channels:
+            (x, valid), report = dsp.preprocess_channel(ch.samples, ch.fs,
+                                                        ch.label)
+            assert np.array_equal(epochs[ch.label][0], x)
+            assert np.array_equal(epochs[ch.label][1], valid)
+            assert reports[ch.label] == report
+        assert reports["F3-P3"].rejected == (1,)
+        assert reports["F4-P4"].rejected == (3,)
+        assert reports["P3-P4"].rejected == (3,)
+
+    def test_calls_go_through_the_module_attribute(self, monkeypatch):
+        seen = []
+        original = dsp.preprocess_channel
+
+        def spy(samples, fs, channel, *args, **kwargs):
+            seen.append(channel)
+            return original(samples, fs, channel, *args, **kwargs)
+
+        monkeypatch.setattr(dsp, "preprocess_channel", spy)
+        pipeline.preprocess_recording(artifact_recording())
+        assert sorted(seen) == sorted(f"{a}-{b}"
+                                      for a, b in pipeline.BIPOLAR_PAIRS)
+
+    def test_missing_pair_raises(self):
+        with pytest.raises(MissingChannel):
+            pipeline.preprocess_recording(artifact_recording(),
+                                          pairs=[("F3", "P3"), ("F3", "Cz")])

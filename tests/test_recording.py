@@ -61,6 +61,31 @@ class TestEdfRoundTrip:
         assert len(back.channel("slow").samples) == 160
 
 
+    def test_scaling_matches_the_formula_on_an_asymmetric_range(
+            self, tmp_path):
+        # rewrite the physical/digital ranges of every signal so that the
+        # read must apply scale * (digital - dmin) + pmin with dmin != -dmax
+        path = tmp_path / "asym.edf"
+        write_edf(make_recording(seed=6, duration_s=3.0), path)
+        raw = bytearray(path.read_bytes())
+        ns = 4
+        offset = 256 + ns * (16 + 80 + 8)
+        for value in (b"-312.5  ", b"187.25  ", b"-2048   ", b"30000   "):
+            raw[offset:offset + 8 * ns] = value * ns
+            offset += 8 * ns
+        path.write_bytes(bytes(raw))
+        header = 256 + ns * 256
+        digital = np.frombuffer(bytes(raw[header:]), dtype="<i2").reshape(
+            3, ns, 256)
+        scale = (187.25 - -312.5) / (30000 - -2048)
+        back = edf.read_edf(path)
+        for i, ch in enumerate(back.channels):
+            expected = scale * (digital[:, i].ravel().astype(np.float64)
+                                - -2048) + -312.5
+            assert ch.samples.dtype == np.float64
+            assert np.array_equal(ch.samples, expected)
+
+
 def write_valid(tmp_path):
     rec = make_recording(seed=3, duration_s=4.0)
     path = tmp_path / "ok.edf"

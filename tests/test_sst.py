@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import tone_amplitude
+from sleeptrend.dsp import design_butter_bandpass, filter_zero_phase
 from sleeptrend.errors import ConfigError, EvenWindow, ShapeMismatch
 from sleeptrend.labels import GAP, Label
 from sleeptrend.sst import (ProbSeries, QsInterval, SstConfig, SstTrace,
@@ -262,6 +263,28 @@ class TestBuildTrend:
             build_trend(self.PREDICTIONS, SstConfig(weights={"A": 1.0}))
 
 
+class TestSstConfig:
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"smooth_window": 4}, EvenWindow),
+        ({"smooth_window": 0}, EvenWindow),
+        ({"threshold": 0.0}, ConfigError),
+        ({"threshold": 1.0}, ConfigError),
+        ({"threshold": float("nan")}, ConfigError),
+        ({"weights": {"A": -1.0}}, ConfigError),
+        ({"weights": {"A": float("inf")}}, ConfigError),
+    ])
+    def test_rejected_when_built(self, kwargs, error):
+        with pytest.raises(error, match=r"sst\."):
+            SstConfig(**kwargs)
+
+    def test_channel_weights_follow_the_given_order(self):
+        cfg = SstConfig(weights={"B": 3.0, "A": 1.0, "C": 0.0})
+        assert cfg.channel_weights(["A", "B"]) == [1.0, 3.0]
+        assert SstConfig().channel_weights(["A", "B"]) is None
+        with pytest.raises(ConfigError, match=r"missing .*\['D'\]"):
+            cfg.channel_weights(["A", "D"])
+
+
 class TestAeeg:
     def test_steady_tone_matches_rectified_mean(self):
         fs = 64.0
@@ -285,6 +308,19 @@ class TestAeeg:
         lo2, up2 = compute_aeeg(2.0 * x, 64.0)
         assert np.allclose(lo2, 2.0 * lo1, rtol=1e-9)
         assert np.allclose(up2, 2.0 * up1, rtol=1e-9)
+
+    def test_band_is_each_minutes_percentiles(self):
+        # one percentile call over all minutes matches a call per minute
+        x = 30.0 * np.random.default_rng(4).standard_normal(64 * 60 * 4 + 9)
+        before = x.copy()
+        lower, upper = compute_aeeg(x, 64.0)
+        assert np.array_equal(x, before)
+        spec = design_butter_bandpass(2.0, 15.0, order=2, fs=64.0)
+        smooth = np.convolve(np.abs(filter_zero_phase(x, spec)),
+                             np.ones(32) / 32, mode="same")
+        minutes = [smooth[i * 3840:(i + 1) * 3840] for i in range(4)]
+        assert np.array_equal(lower, [np.percentile(m, 10) for m in minutes])
+        assert np.array_equal(upper, [np.percentile(m, 90) for m in minutes])
 
     def test_partial_minute_dropped(self):
         lower, upper = compute_aeeg(np.zeros(64 * 90), 64.0)
