@@ -23,7 +23,7 @@ from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from . import envelope, nn, pipeline, sst, synth, training
+from . import envelope, nn, pipeline, sst, synth, threads, training
 from .dsp import ArtifactConfig, PreprocessConfig
 from .errors import (ConfigError, DataError, SingleClassLabels,
                      SleepTrendError, ZeroVariance)
@@ -419,38 +419,50 @@ def cmd_crossval(cfg: dict, args) -> int:
     return 0
 
 
+# Inference batch of `infer`; the predictions do not depend on it.
+INFER_BATCH = 64
+
+
 def cmd_infer(cfg: dict, args) -> int:
-    out_dir = _out_dir(cfg, args)
-    sst_cfg = _section(cfg, "sst")
-    model, _ = nn.load_checkpoint(args.checkpoint)
-    recording_path = Path(args.recording)
-    recording = read_edf(recording_path, subject_id=recording_path.stem)
-    pairs = _pairs(cfg)
-    epochs, _ = pipeline.preprocess_recording(
-        recording, pairs, _section(cfg, "preprocess"),
-        _section(cfg, "artifact"))
-    predictions = {channel: training.infer_channel(model, x, valid)
-                   for channel, (x, valid) in epochs.items()}
-    trace, dqs = sst.build_trend(predictions, sst_cfg)
+    # The calling thread scores channels while the pool conditions the
+    # rest, so a second BLAS thread would only spin on a busy CPU.
+    with threads.blas_limited(1):
+        out_dir = _out_dir(cfg, args)
+        sst_cfg = _section(cfg, "sst")
+        model, _ = nn.load_checkpoint(args.checkpoint)
+        recording_path = Path(args.recording)
+        aeeg = None
 
-    first = derive_bipolar(recording, pairs[:1]).channels[0]
-    aeeg = sst.compute_aeeg(first.samples, fs=first.fs)
+        def first_aeeg(channel):
+            nonlocal aeeg
+            aeeg = sst.compute_aeeg(channel.samples, fs=channel.fs)
 
-    tracks = pipeline.scorer_tracks(recording_path.parent,
-                                    recording_path.stem)
-    strips = {name: epoch_labels(track, len(trace))
-              for name, track in tracks.items()}
+        scored = sorted(
+            (i, label, training.infer_channel(model, x, valid,
+                                              batch=INFER_BATCH))
+            for i, label, (x, valid), _ in pipeline.condition_recording(
+                read_edf(recording_path, subject_id=recording_path.stem),
+                _pairs(cfg), _section(cfg, "preprocess"),
+                _section(cfg, "artifact"), raw_first=first_aeeg))
+        predictions = {label: probs for _, label, probs in scored}
+        trace, dqs = sst.build_trend(predictions, sst_cfg)
 
-    sst_path = out_dir / "sst.csv"
-    dqs_path = out_dir / "dqs.csv"
-    svg_path = out_dir / "sst.svg"
-    sst.write_sst_csv(trace, sst_path)
-    sst.write_dqs_csv(dqs, dqs_path)
-    svg_path.write_text(sst.render_svg(trace, dqs, annotations=strips,
-                                       aeeg=aeeg,
-                                       threshold=sst_cfg.threshold))
-    _write_manifest(out_dir, "infer", cfg, [sst_path, dqs_path, svg_path])
-    print(f"wrote trend for {recording.subject_id} under {out_dir}")
+        tracks = pipeline.scorer_tracks(recording_path.parent,
+                                        recording_path.stem)
+        strips = {name: epoch_labels(track, len(trace))
+                  for name, track in tracks.items()}
+
+        sst_path = out_dir / "sst.csv"
+        dqs_path = out_dir / "dqs.csv"
+        svg_path = out_dir / "sst.svg"
+        sst.write_sst_csv(trace, sst_path)
+        sst.write_dqs_csv(dqs, dqs_path)
+        svg_path.write_text(sst.render_svg(trace, dqs, annotations=strips,
+                                           aeeg=aeeg,
+                                           threshold=sst_cfg.threshold))
+        _write_manifest(out_dir, "infer", cfg,
+                        [sst_path, dqs_path, svg_path])
+    print(f"wrote trend for {recording_path.stem} under {out_dir}")
     return 0
 
 

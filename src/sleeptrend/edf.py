@@ -3,7 +3,8 @@
 Implements the plain EDF layout: a 256 byte main header, ns field-major
 256 byte signal subheaders, then data records of little-endian 16 bit
 two's-complement samples. Physical values are recovered with the usual
-linear map phys = scale * (digital - dig_min) + phys_min.
+linear map phys = scale * (digital - dig_min) + phys_min, and read in
+microvolts: a signal's physical dimension must be uV, mV or V.
 
 EDF+ annotation streams are out of scope; a signal that cannot be read as
 a numeric waveform raises UnsupportedTransducer. Files that declare an
@@ -18,13 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (InconsistentRecordLength, MalformedHeader,
-                     UnsupportedTransducer)
+from .errors import (DataError, InconsistentRecordLength, MalformedHeader,
+                     ShapeMismatch, UnsupportedTransducer)
 
 HEADER_BYTES = 256
 SIGNAL_HEADER_BYTES = 256
 DIG_MIN = -32767
 DIG_MAX = 32767
+# microvolts per unit of each accepted physical dimension
+MICROVOLTS = {"uV": 1.0, "mV": 1e3, "V": 1e6}
 
 
 @dataclass
@@ -149,18 +152,23 @@ def read_edf(path: str | Path) -> EdfFile:
         if dmax == dmin or pmax == pmin:
             raise UnsupportedTransducer(
                 f"signal {label!r} has a degenerate value range")
-        scale = (pmax - pmin) / (dmax - dmin)
-        # scale * (digital - dmin) + pmin, in place on one float64 copy
+        dimension = _text(units[i]).strip()
+        if dimension not in MICROVOLTS:
+            raise UnsupportedTransducer(
+                f"signal {label!r} has physical dimension {dimension!r}, "
+                f"expected one of {sorted(MICROVOLTS)}")
+        to_uv = MICROVOLTS[dimension]
+        scale = (pmax - pmin) / (dmax - dmin) * to_uv
+        # scale * (digital - dmin) + pmin in uV, in place on a float64 copy
         samples = data[:, col:col + spr[i]].astype(np.float64).ravel()
         samples -= dmin
         samples *= scale
-        samples += pmin
+        samples += pmin * to_uv
         col += spr[i]
         channels.append(EdfChannel(
             label=label,
             fs=spr[i] / record_duration,
             samples=samples,
-            units=_text(units[i]),
             transducer=_text(transducers[i]),
             prefilter=_text(prefilter[i]),
         ))
@@ -172,10 +180,10 @@ def read_edf(path: str | Path) -> EdfFile:
 
 
 def _pad(text: str, width: int, what: str) -> bytes:
-    data = text.encode("ascii")
-    if len(data) > width:
-        raise ValueError(f"{what} {text!r} exceeds {width} bytes")
-    return data.ljust(width)
+    if not text.isascii() or len(text) > width:
+        raise MalformedHeader(
+            f"{what} {text!r} is not ASCII text of at most {width} bytes")
+    return text.encode("ascii").ljust(width)
 
 
 def _num_text(value: float, width: int, what: str) -> bytes:
@@ -200,17 +208,19 @@ def write_edf(path: str | Path, edf: EdfFile) -> None:
     """
     ns = len(edf.channels)
     if ns == 0:
-        raise ValueError("cannot write an EDF with no signals")
+        raise DataError("cannot write an EDF with no signals")
     spr = []
     for ch in edf.channels:
         per_record = ch.fs * edf.record_duration_s
         if abs(per_record - round(per_record)) > 1e-9:
-            raise ValueError(
+            raise DataError(
                 f"fs {ch.fs} does not fit whole samples into a "
                 f"{edf.record_duration_s} s record")
         per_record = int(round(per_record))
+        if not np.isfinite(ch.samples).all():
+            raise DataError(f"channel {ch.label!r} has non-finite samples")
         if len(ch.samples) != per_record * edf.n_records:
-            raise ValueError(
+            raise ShapeMismatch(
                 f"channel {ch.label!r} has {len(ch.samples)} samples, "
                 f"expected {per_record * edf.n_records}")
         spr.append(per_record)

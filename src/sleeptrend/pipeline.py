@@ -9,10 +9,9 @@ back to training on ground truth when it exists.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -22,16 +21,65 @@ from .errors import DataError
 from .recording import (AnnotationTrack, ChannelSignal, Recording,
                         derive_bipolar, epoch_labels, read_annotations,
                         read_edf)
+from .threads import available_cpus as _available_cpus
 from .training import SubjectData
 
 BIPOLAR_PAIRS = (("F3", "P3"), ("F4", "P4"), ("F3", "F4"), ("P3", "P4"))
 TRUTH_SCORER = "truth"
 
 
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def condition_recording(recording: Recording,
+                        pairs: Sequence[Sequence[str]] = BIPOLAR_PAIRS,
+                        preprocess: PreprocessConfig = PreprocessConfig(),
+                        artifact: ArtifactConfig = ArtifactConfig(),
+                        raw_first: Callable[[ChannelSignal], None]
+                        | None = None,
+                        ) -> Iterator[tuple[int, str,
+                                            tuple[np.ndarray, np.ndarray],
+                                            PreprocessReport]]:
+    """Derive bipolar channels and run the conditioning chain on each;
+    yields (pair index, label, (epochs, valid), report) per channel, in
+    the order the channels finish.
+
+    The channels are conditioned concurrently, one thread each up to the
+    CPUs available; the numerical work releases the GIL. Each chain
+    filters its own bipolar array in place, so the signal-sized arrays
+    are all allocated here, on the calling thread. The recording is let
+    go once the pairs are derived, and each bipolar array once its
+    channel is conditioned: a caller that hands over its only reference
+    frees their memory then.
+
+    `raw_first`, when given, is called on the calling thread with the
+    first pair's raw bipolar channel while the pool conditions the
+    others; only then is the first channel filtered in place.
+    """
+    channels = derive_bipolar(recording, [tuple(p) for p in pairs]).channels
+    del recording
+    labels = [ch.label for ch in channels]
+
+    def condition(ch: ChannelSignal):
+        return dsp.preprocess_channel(ch.samples, ch.fs, ch.label,
+                                      preprocess, artifact, overwrite=True)
+
+    workers = min(len(channels), _available_cpus())
+    if workers == 1:
+        if raw_first is not None:
+            raw_first(channels[0])
+        for i, label in enumerate(labels):
+            arrays, report = condition(channels[i])
+            channels[i] = None
+            yield i, label, arrays, report
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        index = {pool.submit(condition, ch): i
+                 for i, ch in enumerate(channels) if i > 0}
+        if raw_first is not None:
+            raw_first(channels[0])
+        index[pool.submit(condition, channels[0])] = 0
+        for future in as_completed(index):
+            i = index.pop(future)
+            channels[i] = None
+            yield i, labels[i], *future.result()
 
 
 def preprocess_recording(recording: Recording,
@@ -40,29 +88,12 @@ def preprocess_recording(recording: Recording,
                          artifact: ArtifactConfig = ArtifactConfig(),
                          ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]],
                                     dict[str, PreprocessReport]]:
-    """Derive bipolar channels and run the conditioning chain on each;
-    every channel maps to its epoch array and validity mask.
-
-    The channels are conditioned concurrently, one thread each up to the
-    CPUs available; the numerical work releases the GIL. Each chain
-    filters its own bipolar array in place, so the signal-sized arrays
-    are all allocated here, on the calling thread.
-    """
-    bipolar = derive_bipolar(recording, [tuple(p) for p in pairs])
-
-    def condition(ch: ChannelSignal):
-        return dsp.preprocess_channel(ch.samples, ch.fs, ch.label,
-                                      preprocess, artifact, overwrite=True)
-
-    workers = min(len(bipolar.channels), _available_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(condition, bipolar.channels))
-    else:
-        results = [condition(ch) for ch in bipolar.channels]
-    labels = [ch.label for ch in bipolar.channels]
-    return ({label: arrays for label, (arrays, _) in zip(labels, results)},
-            {label: report for label, (_, report) in zip(labels, results)})
+    """Every channel of `condition_recording`, in pair order, mapped to
+    its epoch array and validity mask, and to its report."""
+    done = sorted(condition_recording(recording, pairs, preprocess,
+                                      artifact), key=lambda item: item[0])
+    return ({label: arrays for _, label, arrays, _ in done},
+            {label: report for _, label, _, report in done})
 
 
 def assemble_subject(recording: Recording,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import nn
+from . import nn, threads
 from .dsp import EPOCH_SAMPLES
 from .errors import (ConfigError, DataError, InvalidEpoch, LengthMismatch,
                      MissingChannel, SingleClassDataset, TooFewSubjects)
@@ -418,6 +418,15 @@ def _run_fold(subject_id: str, subjects: list[SubjectData],
     )
 
 
+def _fold_pool(jobs: int) -> ProcessPoolExecutor:
+    """`jobs` fold workers, each with its share of the CPUs as BLAS
+    threads, so that the workers' BLAS threads do not outnumber the
+    CPUs and spin against each other."""
+    return ProcessPoolExecutor(
+        max_workers=jobs, initializer=threads.set_blas_threads,
+        initargs=(max(1, threads.available_cpus() // jobs),))
+
+
 def loso(subjects: Sequence[SubjectData], cfg: TrainConfig,
          out_dir: str | Path | None = None, jobs: int = 1,
          train_channels: Sequence[str] | None = None) -> list[FoldResult]:
@@ -439,7 +448,7 @@ def loso(subjects: Sequence[SubjectData], cfg: TrainConfig,
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     ids = [s.subject_id for s in subjects]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _fold_pool(jobs) as pool:
             futures = [pool.submit(_run_fold, sid, list(subjects), cfg,
                                    out_dir, train_channels) for sid in ids]
             return [f.result() for f in futures]

@@ -5,14 +5,18 @@ byte-level reproducibility of the cross-validation outputs."""
 import csv
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sleeptrend import cli, training
+from sleeptrend import cli, nn, pipeline, sst, threads, training
 from sleeptrend.errors import ConfigError
-from sleeptrend.recording import ChannelSignal, Recording, write_edf
+from sleeptrend.recording import (ChannelSignal, Recording, derive_bipolar,
+                                  epoch_labels, read_edf, write_edf)
 from sleeptrend.sst import read_sst_csv
 
 SMALL_SYNTH = {"seed": 7, "synth": {"n_subjects": 2, "duration_min": 12.0}}
@@ -390,6 +394,133 @@ class TestInferCommand:
                 "--out", str(tmp_path / "out")])
             assert code == 3, name
             assert "data error" in capsys.readouterr().err, name
+
+
+def serial_infer(checkpoint, recording_path, out):
+    """`infer` as its stages composed one after another: condition every
+    channel, score each at batch 256, then the aEEG of a fresh derivation
+    of the first pair."""
+    model, _ = nn.load_checkpoint(checkpoint)
+    recording = read_edf(recording_path, subject_id=recording_path.stem)
+    epochs, _ = pipeline.preprocess_recording(recording)
+    predictions = {channel: training.infer_channel(model, x, valid,
+                                                   batch=256)
+                   for channel, (x, valid) in epochs.items()}
+    trace, dqs = sst.build_trend(predictions)
+    first = derive_bipolar(recording, pipeline.BIPOLAR_PAIRS[:1]).channels[0]
+    aeeg = sst.compute_aeeg(first.samples, fs=first.fs)
+    strips = {name: epoch_labels(track, len(trace))
+              for name, track in pipeline.scorer_tracks(
+                  recording_path.parent, recording_path.stem).items()}
+    out.mkdir(parents=True)
+    sst.write_sst_csv(trace, out / "sst.csv")
+    sst.write_dqs_csv(dqs, out / "dqs.csv")
+    (out / "sst.svg").write_text(sst.render_svg(
+        trace, dqs, annotations=strips, aeeg=aeeg,
+        threshold=sst.SstConfig().threshold))
+
+
+@pytest.fixture(scope="module")
+def long_recording(tmp_path_factory):
+    """One 80-minute subject with artifacts: more valid minutes per
+    channel than one inference batch of `infer`."""
+    out = tmp_path_factory.mktemp("long")
+    cfg = write_config(tmp_path_factory.mktemp("long_cfg"), {
+        "seed": 5, "synth": {"n_subjects": 1, "duration_min": 80.0,
+                             "artifact_rate_per_hour": 6.0}})
+    assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 0
+    return out / "s01.edf"
+
+
+class TestInferSchedule:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_outputs_equal_the_serial_composition(
+            self, monkeypatch, crossval_dir, long_recording, tmp_path, cpus):
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+        checkpoint = crossval_dir / "fold_s01.json"
+        serial_infer(checkpoint, long_recording, tmp_path / "serial")
+        assert cli.main(["infer", "--checkpoint", str(checkpoint),
+                         "--recording", str(long_recording),
+                         "--out", str(tmp_path / "infer")]) == 0
+        for name in ("sst.csv", "dqs.csv", "sst.svg"):
+            assert (tmp_path / "infer" / name).read_bytes() \
+                == (tmp_path / "serial" / name).read_bytes(), name
+        trace = read_sst_csv(tmp_path / "infer" / "sst.csv")
+        assert np.isnan(trace.p_mean).any()  # artifact minutes in the mix
+
+    @pytest.mark.skipif(threads.blas_threads() is None,
+                        reason="numpy bundles no OpenBLAS")
+    def test_blas_threads_limited_then_restored(
+            self, monkeypatch, crossval_dir, data_dir, tmp_path):
+        seen = []
+        original = training.infer_channel
+
+        def spy(*args, **kwargs):
+            seen.append(threads.blas_threads())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "infer_channel", spy)
+        rng = np.random.default_rng(1)
+        write_edf(Recording("m01", 120.0, [
+            ChannelSignal(label, 256.0, rng.normal(0.0, 20.0, 120 * 256))
+            for label in ("F3", "F4", "P3")]), tmp_path / "no_p4.edf")
+        before = threads.blas_threads()
+        threads.set_blas_threads(2)
+        try:
+            assert cli.main([
+                "infer", "--checkpoint", str(crossval_dir / "fold_s01.json"),
+                "--recording", str(data_dir / "s01.edf"),
+                "--out", str(tmp_path / "ok")]) == 0
+            assert seen == [1, 1, 1, 1]
+            assert threads.blas_threads() == 2
+            assert cli.main([
+                "infer", "--checkpoint", str(crossval_dir / "fold_s01.json"),
+                "--recording", str(tmp_path / "no_p4.edf"),
+                "--out", str(tmp_path / "missing")]) == 3
+            assert threads.blas_threads() == 2
+        finally:
+            threads.set_blas_threads(before)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """An untrained checkpoint and the bytes of a 3-minute EDF."""
+    root = tmp_path_factory.mktemp("fuzz")
+    model = nn.build_model(nn.reference_architecture(), input_len=3840)
+    nn.save_checkpoint(model, root / "model.json")
+    rng = np.random.default_rng(2)
+    write_edf(Recording("f01", 180.0, [
+        ChannelSignal(label, 256.0, rng.normal(0.0, 20.0, 180 * 256))
+        for label in ("F3", "F4", "P3", "P4")]), root / "f01.edf")
+    return root / "model.json", (root / "f01.edf").read_bytes()
+
+
+HEADER_BYTES = 256 + 4 * 256
+
+
+class TestInferFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.lists(
+               st.tuples(st.integers(0, HEADER_BYTES - 1),
+                         st.one_of(st.sampled_from(b"0123456789 .-+eE"),
+                                   st.integers(0, 255))),
+               min_size=1, max_size=3),
+           cut=st.one_of(st.none(), st.integers(0, 4 * HEADER_BYTES)))
+    def test_mutated_header_exits_with_a_known_code(self, fuzz_inputs,
+                                                     edits, cut):
+        checkpoint, pristine = fuzz_inputs
+        raw = bytearray(pristine)
+        for offset, value in edits:
+            raw[offset] = value
+        if cut is not None:
+            del raw[cut:]
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "f01.edf"
+            path.write_bytes(bytes(raw))
+            code = cli.main(["infer", "--checkpoint", str(checkpoint),
+                             "--recording", str(path),
+                             "--out", str(Path(work) / "out")])
+        assert code in (0, 2, 3, 4)
 
 
 class TestEvalCommand:

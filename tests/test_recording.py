@@ -86,6 +86,52 @@ class TestEdfRoundTrip:
             assert np.array_equal(ch.samples, expected)
 
 
+def write_sine(path, units, amplitude=50.0, fs=256.0, duration_s=4.0):
+    t = np.arange(int(fs * duration_s)) / fs
+    samples = amplitude * np.sin(2 * np.pi * 1.0 * t)
+    edf.write_edf(path, edf.EdfFile(
+        patient_id="s01", recording_id="", start_date="01.01.00",
+        start_time="00.00.00", record_duration_s=1.0,
+        n_records=int(duration_s), channels=[
+            edf.EdfChannel(label="F3", fs=fs, samples=samples,
+                           units=units)]))
+    return samples
+
+
+class TestPhysicalDimension:
+    def test_millivolts_read_as_microvolts(self, tmp_path):
+        # a 50 uV sine written with dimension mV is a 50 mV sine
+        samples = write_sine(tmp_path / "mv.edf", "mV")
+        back = edf.read_edf(tmp_path / "mv.edf")
+        peak = np.max(np.abs(back.channels[0].samples))
+        assert peak == pytest.approx(50_000.0, rel=1e-3)
+        step = edf.quantization_step(samples)
+        assert np.max(np.abs(back.channels[0].samples - 1e3 * samples)) \
+            <= 1e3 * step
+        assert back.channels[0].units == "uV"
+
+    def test_volts_read_as_microvolts(self, tmp_path):
+        write_sine(tmp_path / "v.edf", "V", amplitude=0.5)
+        back = read_edf(tmp_path / "v.edf")
+        peak = np.max(np.abs(back.channel("F3").samples))
+        assert peak == pytest.approx(500_000.0, rel=1e-3)
+
+    def test_microvolts_keep_the_plain_arithmetic(self, tmp_path):
+        write_sine(tmp_path / "uv.edf", "uV")
+        raw = (tmp_path / "uv.edf").read_bytes()
+        digital = np.frombuffer(raw, dtype="<i2", offset=512)
+        scale = (50 - -50) / (32767 - -32767)
+        expected = (digital.astype(np.float64) + 32767) * scale + -50
+        back = edf.read_edf(tmp_path / "uv.edf")
+        assert np.array_equal(back.channels[0].samples, expected)
+
+    @pytest.mark.parametrize("units", ["", "uv", "nV", "MV", "degC"])
+    def test_other_dimensions_rejected(self, tmp_path, units):
+        write_sine(tmp_path / "x.edf", units)
+        with pytest.raises(UnsupportedTransducer, match="dimension"):
+            read_edf(tmp_path / "x.edf")
+
+
 def write_valid(tmp_path):
     rec = make_recording(seed=3, duration_s=4.0)
     path = tmp_path / "ok.edf"
@@ -149,6 +195,46 @@ class TestEdfErrors:
         path.write_bytes(bytes(raw))
         with pytest.raises(UnsupportedTransducer):
             read_edf(path)
+
+
+def edf_file(*channels, record_duration_s=1.0, n_records=2):
+    return edf.EdfFile(patient_id="s01", recording_id="",
+                       start_date="01.01.00", start_time="00.00.00",
+                       record_duration_s=record_duration_s,
+                       n_records=n_records, channels=list(channels))
+
+
+class TestEdfWriteErrors:
+    """write_edf raises the package's data errors, never a bare
+    ValueError, so the command line maps every one to exit code 3."""
+
+    def test_no_signals(self, tmp_path):
+        with pytest.raises(DataError, match="no signals"):
+            edf.write_edf(tmp_path / "x.edf", edf_file())
+
+    def test_rate_does_not_fill_a_record(self, tmp_path):
+        ch = edf.EdfChannel(label="F3", fs=100.5, samples=np.zeros(201))
+        with pytest.raises(DataError, match="whole samples"):
+            edf.write_edf(tmp_path / "x.edf", edf_file(ch))
+
+    def test_sample_count_disagrees_with_records(self, tmp_path):
+        ch = edf.EdfChannel(label="F3", fs=10.0, samples=np.zeros(19))
+        with pytest.raises(DataError, match="19 samples, expected 20"):
+            edf.write_edf(tmp_path / "x.edf", edf_file(ch))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples(self, tmp_path, bad):
+        samples = np.zeros(20)
+        samples[7] = bad
+        ch = edf.EdfChannel(label="F3", fs=10.0, samples=samples)
+        with pytest.raises(DataError, match="non-finite"):
+            edf.write_edf(tmp_path / "x.edf", edf_file(ch))
+
+    @pytest.mark.parametrize("label", ["F3-reference-electrode","F3\u00b5"])
+    def test_header_text_does_not_fit(self, tmp_path, label):
+        ch = edf.EdfChannel(label=label, fs=10.0, samples=np.zeros(20))
+        with pytest.raises(MalformedHeader, match="label"):
+            edf.write_edf(tmp_path / "x.edf", edf_file(ch))
 
 
 class TestRecordingTypes:

@@ -7,7 +7,7 @@ import csv
 import numpy as np
 import pytest
 
-from sleeptrend import nn, training
+from sleeptrend import nn, threads, training
 from sleeptrend.dsp import EPOCH_SAMPLES
 from sleeptrend.errors import (ConfigError, DataError, LengthMismatch,
                                MissingChannel, SingleClassDataset,
@@ -451,6 +451,24 @@ class TestLoso:
         subjects[1].subject_id = "n0"
         with pytest.raises(DataError, match="duplicate"):
             loso(subjects, self.cfg())
+
+    @pytest.mark.skipif(threads.blas_threads() is None,
+                        reason="numpy bundles no OpenBLAS")
+    @pytest.mark.parametrize("cpus, expected", [(6, 3), (1, 1)])
+    def test_fold_workers_share_the_cpus_as_blas_threads(
+            self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(threads, "available_cpus", lambda: cpus)
+        before = threads.blas_threads()
+        with training._fold_pool(2) as pool:
+            counts = [pool.submit(threads.blas_threads).result()
+                      for _ in range(4)]
+        assert counts == [expected] * 4
+        assert threads.blas_threads() == before
+
+    def test_one_job_keeps_the_blas_threads(self):
+        before = threads.blas_threads()
+        loso(self.subjects(n=2), self.cfg(), jobs=1)
+        assert threads.blas_threads() == before
 
     def test_checkpoints_written_when_requested(self, tmp_path):
         folds = loso(self.subjects(n=2), self.cfg(), out_dir=tmp_path)
