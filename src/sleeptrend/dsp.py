@@ -70,7 +70,8 @@ def design_butter_bandpass(low_hz: float, high_hz: float,
                            fs: float = 256.0) -> FilterSpec:
     """Design the band-pass filter for one sampling rate.
 
-    Raises NyquistViolation when the band does not fit below fs/2. The
+    Raises ConfigError for band edges out of order, and NyquistViolation
+    (a DataError) when the band does not fit below the signal's fs/2. The
     returned sections are checked for stability (all poles strictly inside
     the unit circle).
     """
@@ -79,7 +80,7 @@ def design_butter_bandpass(low_hz: float, high_hz: float,
     if fs <= 0:
         raise ConfigError(f"sampling rate {fs} must be positive")
     if not 0.0 < low_hz < high_hz:
-        raise NyquistViolation(
+        raise ConfigError(
             f"band edges ({low_hz}, {high_hz}) must satisfy 0 < low < high")
     if high_hz >= fs / 2.0:
         raise NyquistViolation(

@@ -45,8 +45,8 @@ class OverlappingIntervals(DataError):
 
 # DSP -----------------------------------------------------------------------
 
-class NyquistViolation(ConfigError):
-    """A filter band edge sits at or above the Nyquist frequency."""
+class NyquistViolation(DataError):
+    """A filter band edge sits at or above a signal's Nyquist frequency."""
 
 
 class TooShortSignal(DataError):

@@ -522,6 +522,72 @@ class TestInferFuzz:
                              "--out", str(Path(work) / "out")])
         assert code in (0, 2, 3, 4)
 
+    def test_rate_below_a_band_edge_exits_3(self, fuzz_inputs, tmp_path,
+                                            capsys):
+        # 256 samples per 14 s record is 18.3 Hz, too slow for the 30 Hz
+        # band edge: the data is at fault, not the configuration
+        checkpoint, pristine = fuzz_inputs
+        raw = bytearray(pristine)
+        raw[244:252] = b"14      "
+        path = tmp_path / "f01.edf"
+        path.write_bytes(bytes(raw))
+        code = cli.main(["infer", "--checkpoint", str(checkpoint),
+                         "--recording", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "requires fs >" in capsys.readouterr().err
+
+
+def json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {type(None): "null", str: "string", list: "array",
+            dict: "object"}[type(value)]
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=8),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+
+
+def manifest_fields(doc):
+    """Every top-level key, and every field of each specs/arrays entry, as
+    a path of keys and indices into the manifest."""
+    paths = [(key,) for key in sorted(doc)]
+    for table in ("specs", "arrays"):
+        paths += [(table, i, key) for i, entry in enumerate(doc[table])
+                  for key in sorted(entry)]
+    return paths
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_retyped_manifest_field_exits_with_a_known_code(
+            self, fuzz_inputs, data):
+        checkpoint, pristine = fuzz_inputs
+        doc = json.loads(checkpoint.read_text())
+        *parents, last = data.draw(st.sampled_from(manifest_fields(doc)))
+        holder = doc
+        for key in parents:
+            holder = holder[key]
+        holder[last] = data.draw(JSON_VALUES.filter(
+            lambda v: json_type(v) != json_type(holder[last])))
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            (work / "model.json").write_text(json.dumps(doc))
+            (work / "model.bin").write_bytes(
+                checkpoint.with_suffix(".bin").read_bytes())
+            (work / "f01.edf").write_bytes(pristine)
+            code = cli.main(["infer", "--checkpoint", str(work / "model.json"),
+                             "--recording", str(work / "f01.edf"),
+                             "--out", str(work / "out")])
+        assert code in (0, 2, 3, 4)
+
 
 class TestEvalCommand:
     def test_scores_a_trend_file(self, crossval_dir, data_dir, tmp_path):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from sleeptrend import edf
 from sleeptrend.errors import (DataError, InconsistentRecordLength,
                                MalformedHeader, MissingChannel,
                                NegativeDuration, OverlappingIntervals,
@@ -11,8 +10,8 @@ from sleeptrend.errors import (DataError, InconsistentRecordLength,
 from sleeptrend.labels import Label
 from sleeptrend.recording import (AnnotationTrack, ChannelSignal, Recording,
                                   derive_bipolar, epoch_labels,
-                                  read_annotations, read_edf,
-                                  write_annotations, write_edf)
+                                  quantization_step, read_annotations,
+                                  read_edf, write_annotations, write_edf)
 
 
 def make_recording(seed=0, duration_s=120.0, fs=256.0, amp=80.0):
@@ -36,7 +35,7 @@ class TestEdfRoundTrip:
         assert back.labels == rec.labels
         for ch, orig in zip(back.channels, rec.channels):
             assert ch.fs == orig.fs
-            step = edf.quantization_step(orig.samples)
+            step = quantization_step(orig.samples)
             assert np.max(np.abs(ch.samples - orig.samples)) <= step
 
     def test_write_is_deterministic(self, tmp_path):
@@ -78,7 +77,7 @@ class TestEdfRoundTrip:
         digital = np.frombuffer(bytes(raw[header:]), dtype="<i2").reshape(
             3, ns, 256)
         scale = (187.25 - -312.5) / (30000 - -2048)
-        back = edf.read_edf(path)
+        back = read_edf(path)
         for i, ch in enumerate(back.channels):
             expected = scale * (digital[:, i].ravel().astype(np.float64)
                                 - -2048) + -312.5
@@ -86,15 +85,65 @@ class TestEdfRoundTrip:
             assert np.array_equal(ch.samples, expected)
 
 
+class TestEdfRecordLayout:
+    """Files with a layout write_edf does not produce."""
+
+    def test_two_second_records_read_back_unchanged(self, tmp_path):
+        channels = [
+            ChannelSignal(label="EEG", fs=256.0,
+                          samples=np.sin(np.arange(2560) / 10.0) * 50),
+            ChannelSignal(label="slow", fs=16.0,
+                          samples=np.linspace(-40, 40, 160)),
+        ]
+        path = tmp_path / "one.edf"
+        write_edf(Recording("mix", 10.0, channels), path)
+        one = read_edf(path)
+        raw = bytearray(path.read_bytes())
+        ns, header = 2, 256 + 2 * 256
+        raw[236:244] = b"5       "  # record count
+        raw[244:252] = b"2       "  # record duration
+        spr = 256 + ns * (16 + 80 + 8 * 5 + 80)
+        raw[spr:spr + 16] = b"512     32      "
+        # the same samples per channel, regrouped into 2 s records
+        one_s = np.frombuffer(bytes(raw[header:]), dtype="<i2").reshape(
+            10, 256 + 16)
+        two_s = np.concatenate([one_s[:, :256].reshape(5, 512),
+                                one_s[:, 256:].reshape(5, 32)], axis=1)
+        path.write_bytes(bytes(raw[:header]) + two_s.tobytes())
+        back = read_edf(path)
+        assert back.duration_s == 10.0
+        for ch, orig in zip(back.channels, one.channels):
+            assert ch.fs == orig.fs
+            assert np.array_equal(ch.samples, orig.samples)
+
+    @pytest.mark.parametrize("offset", [
+        88,                           # recording id
+        168,                          # start date
+        176,                          # start time
+        256 + 4 * 16,                 # first transducer
+        256 + 4 * (16 + 80) - 80,     # last transducer
+        256 + 4 * (16 + 80 + 8 * 5),  # first prefilter
+    ])
+    def test_non_ascii_unkept_text_rejected(self, tmp_path, offset):
+        path = tmp_path / "ok.edf"
+        write_edf(make_recording(seed=7, duration_s=2.0), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = 0xB5
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MalformedHeader, match="non-ASCII"):
+            read_edf(path)
+
+
 def write_sine(path, units, amplitude=50.0, fs=256.0, duration_s=4.0):
+    """A one-signal EDF whose 8-byte physical dimension field reads `units`."""
     t = np.arange(int(fs * duration_s)) / fs
     samples = amplitude * np.sin(2 * np.pi * 1.0 * t)
-    edf.write_edf(path, edf.EdfFile(
-        patient_id="s01", recording_id="", start_date="01.01.00",
-        start_time="00.00.00", record_duration_s=1.0,
-        n_records=int(duration_s), channels=[
-            edf.EdfChannel(label="F3", fs=fs, samples=samples,
-                           units=units)]))
+    write_edf(Recording("s01", duration_s, [
+        ChannelSignal(label="F3", fs=fs, samples=samples)]), path)
+    raw = bytearray(path.read_bytes())
+    offset = 256 + 16 + 80  # one signal: past its label and transducer
+    raw[offset:offset + 8] = units.encode("ascii").ljust(8)
+    path.write_bytes(bytes(raw))
     return samples
 
 
@@ -102,13 +151,12 @@ class TestPhysicalDimension:
     def test_millivolts_read_as_microvolts(self, tmp_path):
         # a 50 uV sine written with dimension mV is a 50 mV sine
         samples = write_sine(tmp_path / "mv.edf", "mV")
-        back = edf.read_edf(tmp_path / "mv.edf")
+        back = read_edf(tmp_path / "mv.edf")
         peak = np.max(np.abs(back.channels[0].samples))
         assert peak == pytest.approx(50_000.0, rel=1e-3)
-        step = edf.quantization_step(samples)
+        step = quantization_step(samples)
         assert np.max(np.abs(back.channels[0].samples - 1e3 * samples)) \
             <= 1e3 * step
-        assert back.channels[0].units == "uV"
 
     def test_volts_read_as_microvolts(self, tmp_path):
         write_sine(tmp_path / "v.edf", "V", amplitude=0.5)
@@ -122,7 +170,7 @@ class TestPhysicalDimension:
         digital = np.frombuffer(raw, dtype="<i2", offset=512)
         scale = (50 - -50) / (32767 - -32767)
         expected = (digital.astype(np.float64) + 32767) * scale + -50
-        back = edf.read_edf(tmp_path / "uv.edf")
+        back = read_edf(tmp_path / "uv.edf")
         assert np.array_equal(back.channels[0].samples, expected)
 
     @pytest.mark.parametrize("units", ["", "uv", "nV", "MV", "degC"])
@@ -164,6 +212,19 @@ class TestEdfErrors:
         with pytest.raises(MalformedHeader):
             read_edf(path)
 
+    @pytest.mark.parametrize("offset,value", [
+        (244, b"nan     "),              # record duration
+        (256 + 4 * 104, b"nan     "),    # first physical minimum
+        (256 + 4 * 112, b"1e999   "),    # first physical maximum
+    ])
+    def test_non_finite_number(self, tmp_path, offset, value):
+        path = write_valid(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 8] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MalformedHeader, match="bad"):
+            read_edf(path)
+
     def test_truncated_payload(self, tmp_path):
         path = write_valid(tmp_path)
         raw = path.read_bytes()
@@ -197,11 +258,11 @@ class TestEdfErrors:
             read_edf(path)
 
 
-def edf_file(*channels, record_duration_s=1.0, n_records=2):
-    return edf.EdfFile(patient_id="s01", recording_id="",
-                       start_date="01.01.00", start_time="00.00.00",
-                       record_duration_s=record_duration_s,
-                       n_records=n_records, channels=list(channels))
+def one_channel(label="F3", fs=10.0, samples=None, duration_s=2.0):
+    if samples is None:
+        samples = np.zeros(round(duration_s * fs))
+    return Recording("s01", duration_s, [
+        ChannelSignal(label=label, fs=fs, samples=samples)])
 
 
 class TestEdfWriteErrors:
@@ -210,31 +271,28 @@ class TestEdfWriteErrors:
 
     def test_no_signals(self, tmp_path):
         with pytest.raises(DataError, match="no signals"):
-            edf.write_edf(tmp_path / "x.edf", edf_file())
+            write_edf(Recording("s01", 2.0), tmp_path / "x.edf")
 
     def test_rate_does_not_fill_a_record(self, tmp_path):
-        ch = edf.EdfChannel(label="F3", fs=100.5, samples=np.zeros(201))
         with pytest.raises(DataError, match="whole samples"):
-            edf.write_edf(tmp_path / "x.edf", edf_file(ch))
+            write_edf(one_channel(fs=100.5), tmp_path / "x.edf")
 
     def test_sample_count_disagrees_with_records(self, tmp_path):
-        ch = edf.EdfChannel(label="F3", fs=10.0, samples=np.zeros(19))
+        # 1.9 s at 10 Hz is 19 samples, but rounds to two 1 s records
         with pytest.raises(DataError, match="19 samples, expected 20"):
-            edf.write_edf(tmp_path / "x.edf", edf_file(ch))
+            write_edf(one_channel(duration_s=1.9), tmp_path / "x.edf")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples(self, tmp_path, bad):
         samples = np.zeros(20)
         samples[7] = bad
-        ch = edf.EdfChannel(label="F3", fs=10.0, samples=samples)
         with pytest.raises(DataError, match="non-finite"):
-            edf.write_edf(tmp_path / "x.edf", edf_file(ch))
+            write_edf(one_channel(samples=samples), tmp_path / "x.edf")
 
     @pytest.mark.parametrize("label", ["F3-reference-electrode","F3\u00b5"])
     def test_header_text_does_not_fit(self, tmp_path, label):
-        ch = edf.EdfChannel(label=label, fs=10.0, samples=np.zeros(20))
         with pytest.raises(MalformedHeader, match="label"):
-            edf.write_edf(tmp_path / "x.edf", edf_file(ch))
+            write_edf(one_channel(label=label), tmp_path / "x.edf")
 
 
 class TestRecordingTypes:
@@ -247,13 +305,6 @@ class TestRecordingTypes:
         with pytest.raises(DataError):
             Recording(subject_id="x", duration_s=2.0, channels=[
                 ChannelSignal(label="F3", fs=10.0, samples=np.zeros(10))])
-
-    def test_mixed_rate_fs_accessor(self):
-        rec = Recording(subject_id="x", duration_s=1.0, channels=[
-            ChannelSignal(label="a", fs=10.0, samples=np.zeros(10)),
-            ChannelSignal(label="b", fs=20.0, samples=np.zeros(20))])
-        with pytest.raises(DataError):
-            rec.fs
 
 
 class TestBipolar:

@@ -87,7 +87,7 @@ class TestGenerate:
         assert [rec.subject_id for rec, _ in generated] == ["s01", "s02"]
         for rec, truth in generated:
             assert rec.labels == list(synth.CHANNELS)
-            assert rec.fs == synth.GENERATOR_FS
+            assert all(ch.fs == synth.GENERATOR_FS for ch in rec.channels)
             assert rec.duration_s == 720.0
             assert truth.subject_id == rec.subject_id
             for label in rec.labels:
@@ -203,6 +203,10 @@ class TestWriteDataset:
             err = np.max(np.abs(back.channel(label).samples
                                 - rec.channel(label).samples))
             assert err < 0.05  # EDF 16-bit quantization
+        raw = (tmp_path / "s01.edf").read_bytes()
+        ns = len(synth.CHANNELS)
+        assert raw[244:252] == b"1       "  # 1 s data records
+        assert raw[256 + 96 * ns:256 + 104 * ns] == b"uV      " * ns
 
         assert read_annotations(
             tmp_path / "s01.truth.csv").intervals == truth.track.intervals
