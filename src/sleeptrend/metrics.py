@@ -109,12 +109,14 @@ def report(cm: ConfusionMatrix) -> MetricReport:
 
 
 def roc_auc(y_true: Sequence, scores: Sequence[float]) -> RocCurve:
-    """ROC curve and trapezoidal AUC for QS scores.
+    """ROC curve and AUC for QS scores.
 
-    Tied scores are grouped into single curve vertices, which makes the
-    trapezoidal area identical to the pairwise ranking probability with
-    half credit for ties. Raises SingleClassLabels unless both classes
-    are present.
+    Tied scores are grouped into single curve vertices. The AUC is the
+    area under that curve, which is the pairwise ranking probability with
+    half credit for ties (Hanley & McNeil, Radiology 143 (1982) 29-36):
+    each positive counts twice the negatives scored below it plus the
+    negatives tied with it, over 2 * n_pos * n_neg. Raises
+    SingleClassLabels unless both classes are present.
     """
     y = np.asarray([1 if t == Label.QS else 0 for t in y_true], dtype=np.int64)
     s = np.asarray(scores, dtype=np.float64)
@@ -137,7 +139,11 @@ def roc_auc(y_true: Sequence, scores: Sequence[float]) -> RocCurve:
     cum_fp = (group_end + 1) - cum_tp
     tpr = np.concatenate([[0.0], cum_tp / n_pos])
     fpr = np.concatenate([[0.0], cum_fp / n_neg])
-    auc = float(np.trapezoid(tpr, fpr))
+    # per tie group: its positives, the negatives in it, and those below
+    tp = np.diff(cum_tp, prepend=0)
+    tied = np.diff(cum_fp, prepend=0)
+    below = n_neg - cum_fp
+    auc = int((tp * (2 * below + tied)).sum()) / (2 * n_pos * n_neg)
     return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
 
 

@@ -19,8 +19,8 @@ from . import dsp
 from .dsp import ArtifactConfig, PreprocessConfig, PreprocessReport
 from .errors import DataError
 from .recording import (AnnotationTrack, ChannelSignal, Recording,
-                        derive_bipolar, epoch_labels, read_annotations,
-                        read_edf)
+                        check_pairs, derive_bipolar, epoch_labels,
+                        read_annotations, read_edf)
 from .threads import available_cpus as _available_cpus
 from .training import SubjectData
 
@@ -42,44 +42,58 @@ def condition_recording(recording: Recording,
     the order the channels finish.
 
     The channels are conditioned concurrently, one thread each up to the
-    CPUs available; the numerical work releases the GIL. Each chain
-    filters its own bipolar array in place, so the signal-sized arrays
-    are all allocated here, on the calling thread. The recording is let
-    go once the pairs are derived, and each bipolar array once its
-    channel is conditioned: a caller that hands over its only reference
-    frees their memory then.
+    CPUs available; the numerical work releases the GIL. Every pair is
+    checked first. Then each is derived on the calling thread and handed
+    to the pool as soon as it is made, with at most one more pair in
+    flight than there are workers, and each chain filters its own bipolar
+    array in place: the signal-sized arrays are all allocated here, on
+    the calling thread. The recording is let go once the last pair is
+    derived, and each bipolar array once its channel is conditioned: a
+    caller that hands over its only reference frees their memory then.
 
     `raw_first`, when given, is called on the calling thread with the
     first pair's raw bipolar channel while the pool conditions the
-    others; only then is the first channel filtered in place.
+    pairs that fill it; only then is the first channel filtered in place.
     """
-    channels = derive_bipolar(recording, [tuple(p) for p in pairs]).channels
-    del recording
-    labels = [ch.label for ch in channels]
+    pairs = [tuple(p) for p in pairs]
+    check_pairs(recording, pairs)
+    labels = {}
+    workers = min(len(pairs), _available_cpus())
+    # raw_first keeps the calling thread busy, so the first pair follows
+    # the pairs that keep the other CPUs busy
+    order = list(range(1, len(pairs)))
+    order.insert(workers - 1, 0)
+
+    def derive(i: int) -> ChannelSignal:
+        nonlocal recording
+        ch = derive_bipolar(recording, [pairs[i]]).channels[0]
+        labels[i] = ch.label
+        if i == order[-1]:
+            recording = None
+        if i == 0 and raw_first is not None:
+            raw_first(ch)
+        return ch
 
     def condition(ch: ChannelSignal):
         return dsp.preprocess_channel(ch.samples, ch.fs, ch.label,
                                       preprocess, artifact, overwrite=True)
 
-    workers = min(len(channels), _available_cpus())
     if workers == 1:
-        if raw_first is not None:
-            raw_first(channels[0])
-        for i, label in enumerate(labels):
-            arrays, report = condition(channels[i])
-            channels[i] = None
-            yield i, label, arrays, report
+        for i in order:
+            arrays, report = condition(derive(i))
+            yield i, labels[i], arrays, report
         return
     with ThreadPoolExecutor(workers) as pool:
-        index = {pool.submit(condition, ch): i
-                 for i, ch in enumerate(channels) if i > 0}
-        if raw_first is not None:
-            raw_first(channels[0])
-        index[pool.submit(condition, channels[0])] = 0
-        for future in as_completed(index):
-            i = index.pop(future)
-            channels[i] = None
-            yield i, labels[i], *future.result()
+        index = {pool.submit(condition, derive(i)): i
+                 for i in order[:workers + 1]}
+        queue = order[workers + 1:]
+        while index:
+            future = next(as_completed(index))
+            done = index.pop(future)
+            if queue:  # the next pair is queued before the caller resumes
+                i = queue.pop(0)
+                index[pool.submit(condition, derive(i))] = i
+            yield done, labels[done], *future.result()
 
 
 def preprocess_recording(recording: Recording,

@@ -8,8 +8,10 @@ EDF files use the plain layout (Kemp et al., Electroencephalogr. Clin.
 Neurophysiol. 82 (1992) 391-393): a 256 byte main header, ns field-major
 256 byte signal subheaders, then data records of little-endian 16 bit
 two's-complement samples. Physical values are recovered with the linear
-map phys = scale * (digital - dig_min) + phys_min, and read in microvolts:
-a signal's physical dimension must be uV, mV or V. EDF+ annotation streams
+map phys = scale * (digital - dig_min) + phys_min, in microvolts: a
+signal's physical dimension must be uV, mV or V. The reader keeps the
+int16 payload and each signal's map rather than float copies; the
+microvolts are made when a channel is used. EDF+ annotation streams
 are out of scope; a signal that cannot be read as a numeric waveform
 raises UnsupportedTransducer. Files that declare an unknown record count
 (-1) are rejected rather than guessed at.
@@ -49,22 +51,80 @@ DIG_MAX = 32767
 # microvolts per unit of each accepted physical dimension
 MICROVOLTS = {"uV": 1.0, "mV": 1e3, "V": 1e6}
 RECORD_S = 1  # data record duration that write_edf uses
+# samples per block of derive_bipolar: 256 KB of float64, so that a block
+# and its scratch stay in a 1 MB L2 cache
+DERIVE_BLOCK = 1 << 15
 
 
-@dataclass
 class ChannelSignal:
-    """One channel in microvolts at its native sampling rate."""
+    """One channel in microvolts at its native sampling rate.
 
-    label: str
-    fs: float
-    samples: np.ndarray
+    A channel holds float64 samples, or, as read from an EDF file, the
+    int16 digital values of its payload (one row per data record) with the
+    linear map to microvolts, scale * (digital - dmin) + offset. A payload
+    channel makes its microvolts when they are asked for: `samples` makes
+    them all, `microvolts_into` one block of whole records.
+    """
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
-            raise DataError(f"channel {self.label!r} must be 1-D")
+    def __init__(self, label: str, fs: float,
+                 samples: np.ndarray | None = None, *,
+                 digital: np.ndarray | None = None, dmin: int = 0,
+                 scale: float = 1.0, offset: float = 0.0):
+        self.label = label
+        self.fs = fs
+        self.dmin, self.scale, self.offset = dmin, scale, offset
+        if (samples is None) == (digital is None):
+            raise DataError(f"channel {label!r} needs either samples or "
+                            f"digital values")
+        if digital is None:
+            self.samples = samples
+        elif digital.dtype != np.int16 or digital.ndim != 2:
+            raise DataError(f"channel {label!r}: digital values must be "
+                            f"int16 records")
+        else:
+            self._samples, self._digital = None, digital
         if self.fs <= 0:
-            raise DataError(f"channel {self.label!r} has fs {self.fs}")
+            raise DataError(f"channel {label!r} has fs {self.fs}")
+
+    def __len__(self) -> int:
+        return (self._samples if self._digital is None
+                else self._digital).size
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The float64 microvolts; a new array for a payload channel."""
+        if self._digital is None:
+            return self._samples
+        return self.microvolts_into(np.empty(len(self)), 0)
+
+    @samples.setter
+    def samples(self, values) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1:
+            raise DataError(f"channel {self.label!r} must be 1-D")
+        self._samples = values
+        self._digital = None
+
+    @property
+    def record_samples(self) -> int:
+        """Samples per payload record; 1 for float samples."""
+        return 1 if self._digital is None else self._digital.shape[1]
+
+    def microvolts_into(self, out: np.ndarray, start: int) -> np.ndarray:
+        """Write samples [start, start + len(out)) in microvolts into the
+        float64 `out` and return it. For a payload channel, both bounds
+        fall on whole records."""
+        if self._digital is None:
+            out[:] = self._samples[start:start + out.size]
+            return out
+        per_record = self._digital.shape[1]
+        rows = self._digital[start // per_record:
+                             (start + out.size) // per_record]
+        np.copyto(out.reshape(rows.shape), rows)
+        out -= self.dmin
+        out *= self.scale
+        out += self.offset
+        return out
 
 
 @dataclass
@@ -80,9 +140,9 @@ class Recording:
                 raise DataError(f"duplicate channel label {ch.label!r}")
             seen.add(ch.label)
             expected = round(self.duration_s * ch.fs)
-            if len(ch.samples) != expected:
+            if len(ch) != expected:
                 raise DataError(
-                    f"channel {ch.label!r}: {len(ch.samples)} samples, "
+                    f"channel {ch.label!r}: {len(ch)} samples, "
                     f"expected {expected} for {self.duration_s} s at "
                     f"{ch.fs} Hz")
 
@@ -128,8 +188,9 @@ def _split_fields(buf: bytes, layout, count: int) -> dict[str, list[bytes]]:
 
 
 def read_edf(path: str | Path, subject_id: str | None = None) -> Recording:
-    """Load an EDF file into microvolt channels. The subject id defaults to
-    the patient field's first token, falling back to the file stem."""
+    """Load an EDF file into microvolt channels that keep the file's int16
+    payload. The subject id defaults to the patient field's first token,
+    falling back to the file stem."""
     raw = Path(path).read_bytes()
     if len(raw) < HEADER_BYTES:
         raise MalformedHeader(f"file is only {len(raw)} bytes")
@@ -198,18 +259,14 @@ def read_edf(path: str | Path, subject_id: str | None = None) -> Recording:
                 f"signal {label!r} has physical dimension {dimension!r}, "
                 f"expected one of {sorted(MICROVOLTS)}")
         to_uv = MICROVOLTS[dimension]
-        scale = (pmax - pmin) / (dmax - dmin) * to_uv
-        # scale * (digital - dmin) + pmin in uV, in place on a float64 copy
-        samples = data[:, col:col + spr[i]].astype(np.float64).ravel()
-        samples -= dmin
-        samples *= scale
-        samples += pmin * to_uv
-        col += spr[i]
         _text(table["transducer"][i])  # not kept, but must be ASCII
         _text(table["prefilter"][i])
-        channels.append(ChannelSignal(label=label,
-                                      fs=spr[i] / record_duration,
-                                      samples=samples))
+        channels.append(ChannelSignal(
+            label=label, fs=spr[i] / record_duration,
+            digital=data[:, col:col + spr[i]], dmin=dmin,
+            scale=(pmax - pmin) / (dmax - dmin) * to_uv,
+            offset=pmin * to_uv))
+        col += spr[i]
 
     if subject_id is None:
         tokens = patient_id.split()
@@ -296,19 +353,40 @@ def write_edf(rec: Recording, path: str | Path) -> None:
         fh.write(body.tobytes())
 
 
-def derive_bipolar(rec: Recording,
-                   pairs: Sequence[tuple[str, str]]) -> Recording:
-    """Build bipolar derivations (anode minus cathode) from referential
-    channels. Swapping a pair negates the derived signal exactly."""
-    derived = []
+def check_pairs(rec: Recording, pairs: Sequence[tuple[str, str]]) -> None:
+    """Raise unless every pair names two channels of one rate."""
     for a, b in pairs:
         ca = rec.channel(a)
         cb = rec.channel(b)
         if ca.fs != cb.fs:
             raise DataError(
                 f"cannot derive {a}-{b}: rates {ca.fs} vs {cb.fs} differ")
+
+
+def derive_bipolar(rec: Recording,
+                   pairs: Sequence[tuple[str, str]]) -> Recording:
+    """Build bipolar derivations (anode minus cathode) from referential
+    channels. Swapping a pair negates the derived signal exactly.
+
+    Each pair is made in blocks of whole records: the anode's microvolts
+    go straight into the pair's new buffer, and the cathode's, made in a
+    small scratch block, are subtracted from them. The result is bitwise
+    equal to subtracting the two channels' full `samples`.
+    """
+    check_pairs(rec, pairs)
+    derived = []
+    for a, b in pairs:
+        ca = rec.channel(a)
+        cb = rec.channel(b)
+        unit = math.lcm(ca.record_samples, cb.record_samples)
+        block = max(1, DERIVE_BLOCK // unit) * unit
+        out = np.empty(len(ca))
+        scratch = np.empty(min(block, out.size))
+        for start in range(0, out.size, block):
+            part = ca.microvolts_into(out[start:start + block], start)
+            part -= cb.microvolts_into(scratch[:part.size], start)
         derived.append(ChannelSignal(label=f"{a}-{b}", fs=ca.fs,
-                                     samples=ca.samples - cb.samples))
+                                     samples=out))
     return Recording(subject_id=rec.subject_id, duration_s=rec.duration_s,
                      channels=derived)
 

@@ -257,6 +257,11 @@ def build_trend(predictions: Mapping[str, np.ndarray],
     return trace, detect_dqs(trace, cfg.threshold)
 
 
+# samples of moving average per block of compute_aeeg, rounded down to
+# whole minutes (at least one)
+AEEG_BLOCK = 1 << 16
+
+
 def compute_aeeg(samples: np.ndarray, fs: float = dsp.TARGET_FS
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude-integrated trend: band-pass 2-15 Hz, rectify, 0.5 s
@@ -266,17 +271,35 @@ def compute_aeeg(samples: np.ndarray, fs: float = dsp.TARGET_FS
     A steady 10 µV 7 Hz tone comes out near (6.37, 6.37): rectification
     leaves a 14 Hz ripple whose cycles fit the 0.5 s window exactly, so
     the average flattens to the rectified mean 2A/pi.
+
+    The average and the percentiles are made a block of minutes at a
+    time, each block reading its kernel's halo from the neighbouring
+    rectified samples, so only the rectified signal is full-length. The
+    result is bitwise equal to one full-length `np.convolve(mode="same")`
+    followed by `np.percentile` over every minute.
     """
     samples = np.asarray(samples, dtype=float)
     spec = dsp.design_butter_bandpass(2.0, 15.0, order=2, fs=fs)
     rectified = dsp.filter_zero_phase(samples, spec)
     np.abs(rectified, out=rectified)
     win = max(1, int(round(0.5 * fs)))
-    smooth = np.convolve(rectified, np.ones(win) / win, mode="same")
+    kernel = np.ones(win) / win
     per_epoch = int(round(EPOCH_S * fs))
-    n_epochs = len(smooth) // per_epoch
-    segs = smooth[:n_epochs * per_epoch].reshape(n_epochs, per_epoch)
-    lower, upper = np.percentile(segs, [10, 90], axis=1)
+    n_epochs = len(rectified) // per_epoch
+    minutes = max(1, AEEG_BLOCK // per_epoch)
+    lower = np.empty(n_epochs)
+    upper = np.empty(n_epochs)
+    for first in range(0, n_epochs, minutes):
+        last = min(first + minutes, n_epochs)
+        start, stop = first * per_epoch, last * per_epoch
+        # "same" mode centres the kernel: output i averages the inputs
+        # i - win // 2 ... i + (win - 1) // 2
+        lo = max(0, start - win // 2)
+        hi = min(len(rectified), stop + (win - 1) // 2)
+        smooth = np.convolve(rectified[lo:hi], kernel, mode="same")
+        segs = smooth[start - lo:stop - lo].reshape(last - first, per_epoch)
+        lower[first:last], upper[first:last] = np.percentile(
+            segs, [10, 90], axis=1)
     return lower, upper
 
 

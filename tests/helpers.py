@@ -7,6 +7,50 @@ least-squares sinusoid fit.
 
 import numpy as np
 
+# offset within one entry and width of the EDF signal header fields that
+# the helpers below read or rewrite; each field is a block of ns entries
+EDF_SIGNAL_AT = {"label": (0, 16), "units": (96, 8), "pmin": (104, 8),
+                 "pmax": (112, 8), "dmin": (120, 8), "dmax": (128, 8),
+                 "spr": (216, 8)}
+
+
+def edf_signal_field(raw, name):
+    """Every signal's entry of one EDF header field, as stripped text."""
+    ns = int(raw[252:256])
+    at, width = EDF_SIGNAL_AT[name]
+    base = 256 + ns * at
+    return [bytes(raw[base + i * width:base + (i + 1) * width])
+            .decode("ascii").strip() for i in range(ns)]
+
+
+def relayout_edf(path, record_s, rewrite):
+    """Rewrite an EDF file of 1 s records in place: its samples are
+    regrouped into `record_s`-second records, and each signal header
+    field named in `rewrite` gets rewrite[name](old text) as new text."""
+    raw = bytearray(path.read_bytes())
+    ns = int(raw[252:256])
+    n_records = int(raw[236:244])
+    header = 256 + 256 * ns
+    spr = [int(v) for v in edf_signal_field(raw, "spr")]
+    fields = {name: [new(old) for old in edf_signal_field(raw, name)]
+              for name, new in rewrite.items()}
+    fields["spr"] = [str(v * record_s) for v in spr]
+    for name, values in fields.items():
+        at, width = EDF_SIGNAL_AT[name]
+        base = 256 + ns * at
+        assert all(len(v) <= width for v in values), (name, values)
+        raw[base:base + ns * width] = b"".join(
+            v.encode("ascii").ljust(width) for v in values)
+    raw[236:244] = str(n_records // record_s).encode("ascii").ljust(8)
+    raw[244:252] = str(record_s).encode("ascii").ljust(8)
+    one_s = np.frombuffer(bytes(raw[header:]), dtype="<i2").reshape(
+        n_records, sum(spr))
+    bounds = np.cumsum([0] + spr)
+    regrouped = np.concatenate(
+        [one_s[:, a:b].reshape(n_records // record_s, record_s * (b - a))
+         for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
+    path.write_bytes(bytes(raw[:header]) + regrouped.tobytes())
+
 
 def sos_gain(sos, f_hz, fs):
     """|H(f)| of a second-order-section cascade, evaluated directly."""

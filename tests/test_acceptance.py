@@ -152,12 +152,13 @@ def brute_force_report(tp, fp, fn, tn):
 
 
 def pairwise_auc(y, scores):
-    """Ranking probability with half credit for ties, counted directly."""
+    """Ranking probability with half credit for ties, counted directly
+    as an exact fraction."""
     pos = [s for t, s in zip(y, scores) if t == Label.QS]
     neg = [s for t, s in zip(y, scores) if t == Label.AS]
-    wins = sum(1.0 if p > q else 0.5 if p == q else 0.0
-               for p in pos for q in neg)
-    return wins / (len(pos) * len(neg))
+    half_wins = sum(2 if p > q else 1 if p == q else 0
+                    for p in pos for q in neg)
+    return Fraction(half_wins, 2 * len(pos) * len(neg))
 
 
 def test_criterion_05_metrics_oracle():
@@ -191,8 +192,7 @@ def test_criterion_05_metrics_oracle():
             continue
         # quantized scores force tie handling into the comparison
         scores = np.round(rng.random(n), 1)
-        trapezoid = roc_auc(y, scores).auc
-        assert abs(trapezoid - pairwise_auc(y, scores)) < 1e-12
+        assert roc_auc(y, scores).auc == float(pairwise_auc(y, scores))
         checked += 1
 
 

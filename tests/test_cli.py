@@ -5,6 +5,7 @@ byte-level reproducibility of the cross-validation outputs."""
 import csv
 import json
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import relayout_edf
 from sleeptrend import cli, nn, pipeline, sst, threads, training
 from sleeptrend.errors import ConfigError
 from sleeptrend.recording import (ChannelSignal, Recording, derive_bipolar,
@@ -432,21 +434,41 @@ def long_recording(tmp_path_factory):
     return out / "s01.edf"
 
 
+@pytest.fixture(scope="module")
+def long_millivolt_recording(long_recording, tmp_path_factory):
+    """The long recording stored in mV and in 2 s records, with the same
+    physical range, so every sample is read through a factor of 1000."""
+    out = tmp_path_factory.mktemp("long_mv")
+    for path in long_recording.parent.glob(f"{long_recording.stem}.*"):
+        shutil.copy(path, out / path.name)
+    recording_path = out / long_recording.name
+    relayout_edf(recording_path, 2, {
+        "units": lambda _: "mV",
+        "pmin": lambda v: f"{float(v) / 1000:g}",
+        "pmax": lambda v: f"{float(v) / 1000:g}"})
+    return recording_path
+
+
 class TestInferSchedule:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_outputs_equal_the_serial_composition(
-            self, monkeypatch, crossval_dir, long_recording, tmp_path, cpus):
+            self, monkeypatch, crossval_dir, long_recording,
+            long_millivolt_recording, tmp_path, cpus):
         monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
         checkpoint = crossval_dir / "fold_s01.json"
-        serial_infer(checkpoint, long_recording, tmp_path / "serial")
-        assert cli.main(["infer", "--checkpoint", str(checkpoint),
-                         "--recording", str(long_recording),
-                         "--out", str(tmp_path / "infer")]) == 0
-        for name in ("sst.csv", "dqs.csv", "sst.svg"):
-            assert (tmp_path / "infer" / name).read_bytes() \
-                == (tmp_path / "serial" / name).read_bytes(), name
-        trace = read_sst_csv(tmp_path / "infer" / "sst.csv")
-        assert np.isnan(trace.p_mean).any()  # artifact minutes in the mix
+        for recording_path in (long_recording, long_millivolt_recording):
+            out = tmp_path / recording_path.parent.name
+            serial_infer(checkpoint, recording_path, out / "serial")
+            assert cli.main(["infer", "--checkpoint", str(checkpoint),
+                             "--recording", str(recording_path),
+                             "--out", str(out / "infer")]) == 0
+            for name in ("sst.csv", "dqs.csv", "sst.svg"):
+                assert (out / "infer" / name).read_bytes() \
+                    == (out / "serial" / name).read_bytes(), name
+            trace = read_sst_csv(out / "infer" / "sst.csv")
+            # artifact minutes in the mix
+            assert np.isnan(trace.p_mean).any()
+            assert np.isfinite(trace.p_mean).any()
 
     @pytest.mark.skipif(threads.blas_threads() is None,
                         reason="numpy bundles no OpenBLAS")

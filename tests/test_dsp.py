@@ -1,5 +1,8 @@
 """Signal conditioning against frequency-sweep and sinusoid-fit oracles."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from helpers import sos_gain, tone_amplitude
@@ -373,3 +376,45 @@ class TestPreprocessRecording:
         with pytest.raises(MissingChannel):
             pipeline.preprocess_recording(artifact_recording(),
                                           pairs=[("F3", "P3"), ("F3", "Cz")])
+
+    def test_bad_pair_fails_before_any_pair_is_derived(self, monkeypatch):
+        derived = []
+        monkeypatch.setattr(pipeline, "derive_bipolar",
+                            lambda rec, pairs: derived.append(pairs))
+        with pytest.raises(MissingChannel):
+            pipeline.preprocess_recording(
+                artifact_recording(),
+                pairs=[("F3", "P3"), ("F4", "P4"), ("F3", "Cz")])
+        assert derived == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_pairs_in_flight_are_bounded(self, monkeypatch, cpus):
+        # a pair is in flight from its derivation until its conditioning
+        # ends; conditioning is slowed so an unbounded schedule would
+        # derive every pair before the first one ends
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+        derive, condition = pipeline.derive_bipolar, dsp.preprocess_channel
+
+        def spy_derive(rec, pairs):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            return derive(rec, pairs)
+
+        def slow_condition(*args, **kwargs):
+            time.sleep(0.05)
+            result = condition(*args, **kwargs)
+            with lock:
+                in_flight[0] -= 1
+            return result
+
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(pipeline, "derive_bipolar", spy_derive)
+        monkeypatch.setattr(dsp, "preprocess_channel", slow_condition)
+        pairs = [(a, b) for a in ("F3", "F4", "P3", "P4")
+                 for b in ("F3", "F4", "P3", "P4") if a != b]
+        epochs, _ = pipeline.preprocess_recording(artifact_recording(),
+                                                  pairs)
+        assert list(epochs) == [f"{a}-{b}" for a, b in pairs]
+        assert peak[0] == (1 if cpus == 1 else cpus + 1)

@@ -32,17 +32,18 @@ def oracle_report(tp: int, fp: int, fn: int, tn: int):
 
 
 def pairwise_auc(y_true, scores):
-    """Mann-Whitney ranking probability with half credit for ties."""
+    """Mann-Whitney ranking probability with half credit for ties, as an
+    exact fraction of pair counts."""
     pos = [s for t, s in zip(y_true, scores) if t == Label.QS]
     neg = [s for t, s in zip(y_true, scores) if t == Label.AS]
-    wins = 0.0
+    half_wins = 0
     for p in pos:
         for n in neg:
             if p > n:
-                wins += 1.0
+                half_wins += 2
             elif p == n:
-                wins += 0.5
-    return wins / (len(pos) * len(neg))
+                half_wins += 1
+    return Fraction(half_wins, 2 * len(pos) * len(neg))
 
 
 class TestReport:
@@ -147,7 +148,7 @@ class TestRoc:
             # quantized scores force plenty of ties
             s = np.round(rng.random(n), 1)
             curve = roc_auc(y, s)
-            assert curve.auc == pytest.approx(pairwise_auc(y, s), abs=1e-12)
+            assert curve.auc == float(pairwise_auc(y, s))
 
     def test_perfect_reversed_and_constant(self):
         y = [Label.AS, Label.AS, Label.QS, Label.QS]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import edf_signal_field, relayout_edf
+from sleeptrend import recording
 from sleeptrend.errors import (DataError, InconsistentRecordLength,
                                MalformedHeader, MissingChannel,
                                NegativeDuration, OverlappingIntervals,
@@ -98,18 +100,11 @@ class TestEdfRecordLayout:
         path = tmp_path / "one.edf"
         write_edf(Recording("mix", 10.0, channels), path)
         one = read_edf(path)
-        raw = bytearray(path.read_bytes())
-        ns, header = 2, 256 + 2 * 256
-        raw[236:244] = b"5       "  # record count
-        raw[244:252] = b"2       "  # record duration
-        spr = 256 + ns * (16 + 80 + 8 * 5 + 80)
-        raw[spr:spr + 16] = b"512     32      "
         # the same samples per channel, regrouped into 2 s records
-        one_s = np.frombuffer(bytes(raw[header:]), dtype="<i2").reshape(
-            10, 256 + 16)
-        two_s = np.concatenate([one_s[:, :256].reshape(5, 512),
-                                one_s[:, 256:].reshape(5, 32)], axis=1)
-        path.write_bytes(bytes(raw[:header]) + two_s.tobytes())
+        relayout_edf(path, 2, {})
+        raw = path.read_bytes()
+        assert (raw[236:252], edf_signal_field(raw, "spr")) \
+            == (b"5       2       ", ["512", "32"])
         back = read_edf(path)
         assert back.duration_s == 10.0
         for ch, orig in zip(back.channels, one.channels):
@@ -321,6 +316,84 @@ class TestBipolar:
         rec = make_recording(seed=5, duration_s=2.0)
         with pytest.raises(MissingChannel):
             derive_bipolar(rec, [("F3", "Cz")])
+
+    def test_rates_must_match(self, tmp_path):
+        rec = Recording("s01", 2.0, [
+            ChannelSignal("F3", 256.0, np.zeros(512)),
+            ChannelSignal("P3", 128.0, np.zeros(256))])
+        write_edf(rec, tmp_path / "x.edf")
+        for source in (rec, read_edf(tmp_path / "x.edf")):
+            with pytest.raises(DataError, match="rates"):
+                derive_bipolar(source, [("F3", "P3")])
+
+
+def reference_bipolar(path, pairs):
+    """The derivation as it was before the reader kept the payload: the
+    header parsed at fixed offsets, every signal made float64 microvolts
+    in full, then anode minus cathode."""
+    raw = path.read_bytes()
+    ns = int(raw[252:256])
+    n_records = int(raw[236:244])
+    labels, units = (edf_signal_field(raw, name)
+                     for name in ("label", "units"))
+    pmin, pmax = ([float(v) for v in edf_signal_field(raw, name)]
+                  for name in ("pmin", "pmax"))
+    dmin, dmax, spr = ([int(v) for v in edf_signal_field(raw, name)]
+                       for name in ("dmin", "dmax", "spr"))
+    data = np.frombuffer(raw, dtype="<i2", offset=256 + 256 * ns).reshape(
+        n_records, sum(spr))
+    uv = {}
+    col = 0
+    for i, label in enumerate(labels):
+        to_uv = {"uV": 1.0, "mV": 1e3, "V": 1e6}[units[i]]
+        x = data[:, col:col + spr[i]].astype(np.float64).ravel()
+        x -= dmin[i]
+        x *= (pmax[i] - pmin[i]) / (dmax[i] - dmin[i]) * to_uv
+        x += pmin[i] * to_uv
+        uv[label] = x
+        col += spr[i]
+    return {f"{a}-{b}": uv[a] - uv[b] for a, b in pairs}
+
+
+class TestPayloadDerivation:
+    """Pairs derived from the int16 payload, block by block, against the
+    full float64 derivation."""
+
+    PAIRS = [("F3", "P3"), ("F4", "P4"), ("F3", "F4"), ("P3", "P4"),
+             ("P3", "F3")]
+
+    @pytest.mark.parametrize("units", ["uV", "mV", "V"])
+    @pytest.mark.parametrize("record_s", [1, 2])
+    # 1800 leaves a partial last block of 10 s at 256 Hz: 1792 + 768
+    # samples in 1 s records, 1536 + 1024 in 2 s records
+    @pytest.mark.parametrize("block", [1800, recording.DERIVE_BLOCK])
+    def test_bitwise_equal_to_the_float_derivation(
+            self, tmp_path, monkeypatch, units, record_s, block):
+        monkeypatch.setattr(recording, "DERIVE_BLOCK", block)
+        path = tmp_path / "s01.edf"
+        write_edf(make_recording(seed=8, duration_s=10.0), path)
+        # asymmetric ranges, so that dmin != -dmax and pmin != -pmax
+        relayout_edf(path, record_s, {
+            "units": lambda _: units, "pmin": lambda _: "-312.5",
+            "pmax": lambda _: "187.25", "dmin": lambda _: "-2048",
+            "dmax": lambda _: "30000"})
+        expected = reference_bipolar(path, self.PAIRS)
+        derived = derive_bipolar(read_edf(path), self.PAIRS)
+        assert derived.labels == list(expected)
+        for ch in derived.channels:
+            assert ch.samples.dtype == np.float64
+            assert np.array_equal(ch.samples.view(np.int64),
+                                  expected[ch.label].view(np.int64))
+
+    def test_reader_keeps_the_payload(self, tmp_path):
+        path = tmp_path / "s01.edf"
+        write_edf(make_recording(seed=9, duration_s=3.0), path)
+        rec = read_edf(path)
+        ch = rec.channel("F3")
+        assert ch.record_samples == 256 and len(ch) == 768
+        # each read of `samples` makes new microvolts from the payload
+        assert ch.samples is not ch.samples
+        assert np.array_equal(ch.samples, ch.samples)
 
 
 class TestAnnotations:

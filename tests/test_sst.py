@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import tone_amplitude
+from sleeptrend import sst
 from sleeptrend.dsp import design_butter_bandpass, filter_zero_phase
 from sleeptrend.errors import ConfigError, EvenWindow, ShapeMismatch
 from sleeptrend.labels import GAP, Label
@@ -337,6 +338,54 @@ class TestAeeg:
                      loud, quiet) for _ in range(3)])
         lower, upper = compute_aeeg(x, fs)
         assert np.all(upper[1:2] > 3.0 * lower[1:2])
+
+
+def reference_aeeg(samples, fs):
+    """The aEEG in one pass: a full-length moving average, then every
+    minute's percentiles in one call."""
+    spec = design_butter_bandpass(2.0, 15.0, order=2, fs=fs)
+    rectified = np.abs(filter_zero_phase(samples, spec))
+    win = max(1, int(round(0.5 * fs)))
+    smooth = np.convolve(rectified, np.ones(win) / win, mode="same")
+    per_epoch = int(round(60 * fs))
+    n_epochs = len(smooth) // per_epoch
+    segs = smooth[:n_epochs * per_epoch].reshape(n_epochs, per_epoch)
+    lower, upper = np.percentile(segs, [10, 90], axis=1)
+    return lower, upper
+
+
+class TestAeegBlocks:
+    """compute_aeeg's blocks against the one-pass reference, bitwise."""
+
+    # windows of 32, 50 and 128 samples are even, 125 is odd
+    @pytest.mark.parametrize("fs", [64.0, 100.0, 250.0, 256.0])
+    @pytest.mark.parametrize("length", [
+        "below_one_block", "one_block", "two_blocks",
+        "blocks_and_partial_minute", "one_minute_blocks"])
+    def test_bitwise_equal_to_the_one_pass_aeeg(self, monkeypatch, fs,
+                                                length):
+        per_epoch = int(round(60 * fs))
+        if length == "one_minute_blocks":
+            # a block edge in every minute: a halo that is off by one
+            # sample changes one average per edge, which must move
+            # some minute's percentiles
+            monkeypatch.setattr(sst, "AEEG_BLOCK", 1)
+        block = max(1, sst.AEEG_BLOCK // per_epoch) * per_epoch
+        n = {"below_one_block": 2 * per_epoch + per_epoch // 3,
+             "one_block": block,
+             "two_blocks": 2 * block,
+             "blocks_and_partial_minute": 2 * block + 3 * per_epoch
+             + per_epoch // 2,
+             "one_minute_blocks": 120 * per_epoch + per_epoch // 2}[length]
+        rng = np.random.default_rng(int(fs) + n)
+        t = np.arange(n) / fs
+        # a bursting signal, so the percentiles move from minute to minute
+        x = 25.0 * rng.standard_normal(n) * (1.5 + np.sin(t / 7.0))
+        got = compute_aeeg(x, fs)
+        expected = reference_aeeg(x, fs)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape == (n // per_epoch,)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestCsv:
