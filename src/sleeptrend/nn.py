@@ -11,6 +11,20 @@ convention used by every mainstream deep learning toolkit. The softmax
 layer must be last; its backward pass is fused with the cross-entropy
 loss, so backward() consumes integer class targets directly.
 
+Inside forward() and backward() every feature map is held channel-major,
+(channels, batch, length): the input is transposed once on entry (free
+for one channel), and global average pooling hands (batch, features) to
+the dense head. A convolution's im2col copy is then one
+(kernel * channels, batch * length) matrix, so its output, its weight
+gradient and its input gradient are one matrix product each
+(Chellapilla, Puri & Simard, IWFHR 2006), and each batch-norm reduction
+runs along one contiguous row per channel. ForwardTrace.shapes still
+reports sample-major (batch, channels, length) shapes.
+
+The dense head sums its products row by row in a fixed order, so a
+row's output does not depend on how many rows share its batch (a matrix
+product takes a different path for a single row).
+
 One layer loop serves every stack, and fuses two pairings where the spec
 list has them. A ReLU directly before a max-pool runs after the pool, at
 the pooled resolution, and keeps its mask there; ReLU is monotone, so the
@@ -29,7 +43,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ChecksumMismatch, ConfigError, ShapeMismatch
 
@@ -237,38 +250,51 @@ def count_spec_params(specs: Sequence[LayerSpec],
     return total
 
 
+def _tap_span(s: int, length: int) -> tuple[int, int]:
+    """The output positions [lo, hi) whose input j + s lies inside the
+    map; the rest read the zero padding."""
+    lo = min(max(0, -s), length)
+    return lo, max(min(length, length - s), lo)
+
+
 def _conv1d_forward(x, w, b):
-    """Same-padded cross-correlation as one matrix product per sample.
-    The im2col copy is laid out (batch, cin * kernel, length), so the
-    product lands in (batch, cout, length) with no transpose."""
-    n, cin, length = x.shape
+    """Same-padded cross-correlation of a (cin, batch, length) map as one
+    matrix product. Row ci * k + t of the im2col copy holds x[ci] shifted
+    by t - k // 2, with zeros where the shift leaves the map; the copy is
+    returned flat, (cin * k, batch * length), for the backward pass."""
+    cin, n, length = x.shape
     cout, _, k = w.shape
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    # row ci * k + t of a sample's copy is xp[ci, t:t + length]
-    cols = sliding_window_view(xp, length, axis=2).reshape(n, cin * k,
-                                                           length)
+    cols = np.empty((cin, k, n, length), dtype=x.dtype)
+    for t in range(k):
+        s = t - k // 2
+        lo, hi = _tap_span(s, length)
+        tap = cols[:, t]
+        tap[..., :lo] = 0
+        tap[..., hi:] = 0
+        tap[..., lo:hi] = x[..., lo + s:hi + s]
+    cols = cols.reshape(cin * k, n * length)
     y = w.reshape(cout, cin * k) @ cols
     y += b[:, None]
-    return y, cols
+    return y.reshape(cout, n, length), cols
 
 
 def _conv1d_backward(g, w, cols, need_dx):
-    """(input gradient or None, {"w", "b"} gradients). The input gradient
-    is a tap loop over the per-tap columns of Wᵀ g; a correlation of g
-    with the flipped kernel measured slower, its im2col copy being wider."""
-    n, cout, length = g.shape
+    """(input gradient or None, {"w", "b"} gradients) of a (cout, batch,
+    length) output gradient: one product each for the weight gradient
+    and the im2col gradient, which is then added back tap by tap."""
+    cout, n, length = g.shape
     _, cin, k = w.shape
-    dw = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    grads = {"w": dw, "b": g.sum(axis=(0, 2))}
+    g = g.reshape(cout, n * length)
+    grads = {"w": (g @ cols.T).reshape(w.shape), "b": g.sum(axis=1)}
     if not need_dx:
         return None, grads
-    dcols = (w.reshape(cout, cin * k).T @ g).reshape(n, cin, k, length)
-    pad = k // 2
-    dxp = np.zeros((n, cin, length + 2 * pad), dtype=g.dtype)
+    dcols = (w.reshape(cout, cin * k).T @ g).reshape(cin, k, n, length)
+    dx = np.zeros((cin, n, length), dtype=g.dtype)
     for t in range(k):
-        dxp[:, :, t:t + length] += dcols[:, :, t]
-    return dxp[:, :, pad:pad + length], grads
+        s = t - k // 2
+        lo, hi = _tap_span(s, length)
+        dx[..., lo + s:hi + s] += dcols[:, t, :, lo:hi]
+    return dx, grads
 
 
 def _bn_affine(layer):
@@ -280,10 +306,12 @@ def _bn_affine(layer):
 def _batchnorm_train(x, layer):
     """Normalize with batch statistics and update the running ones.
     Returns the output and the backward cache (x̂, inv_std)."""
-    m = x.shape[0] * x.shape[2]
-    mean = x.mean(axis=(0, 2))
-    xhat = x - mean[:, None]
-    var = np.einsum("ncl,ncl->c", xhat, xhat) / m
+    c = x.shape[0]
+    rows = x.reshape(c, -1)  # one contiguous row per channel
+    m = rows.shape[1]
+    mean = rows.mean(axis=1)
+    xhat = rows - mean[:, None]
+    var = np.einsum("cm,cm->c", xhat, xhat) / m
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[:, None]
     layer["running_mean"][...] = (BN_MOMENTUM * layer["running_mean"]
@@ -292,20 +320,23 @@ def _batchnorm_train(x, layer):
                                  + (1.0 - BN_MOMENTUM) * var)
     y = xhat * layer["gamma"][:, None]
     y += layer["beta"][:, None]
-    return y, (xhat, inv_std)
+    return y.reshape(x.shape), (xhat.reshape(x.shape), inv_std)
 
 
 def _batchnorm_backward(g, layer, cache):
     xhat, inv_std = cache
-    m = xhat.shape[0] * xhat.shape[2]
-    dbeta = g.sum(axis=(0, 2))
-    dgamma = np.einsum("ncl,ncl->c", g, xhat)
+    c = xhat.shape[0]
+    xhat = xhat.reshape(c, -1)
+    rows = g.reshape(c, -1)
+    m = xhat.shape[1]
+    dbeta = rows.sum(axis=1)
+    dgamma = np.einsum("cm,cm->c", rows, xhat)
     # dx = a (g - Σg/m - x̂ Σ(g x̂)/m) with a = gamma * inv_std
     dx = xhat * (-dgamma / m)[:, None]
-    dx += g
+    dx += rows
     dx -= (dbeta / m)[:, None]
     dx *= (layer["gamma"] * inv_std)[:, None]
-    return dx, {"gamma": dgamma, "beta": dbeta}
+    return dx.reshape(g.shape), {"gamma": dgamma, "beta": dbeta}
 
 
 def _maxpool(x, pool, train):
@@ -326,11 +357,24 @@ def _maxpool(x, pool, train):
 
 
 def _maxpool_backward(g, idx, pool):
-    n, c, pooled = g.shape
-    full = np.empty((n, c, pooled * pool), dtype=g.dtype)
+    c, n, pooled = g.shape
+    full = np.empty((c, n, pooled * pool), dtype=g.dtype)
     for j in range(pool):
         np.multiply(g, idx == j, out=full[..., j::pool])
     return full
+
+
+def _dense(x, w, b):
+    """x @ w.T + b, each output summed over its row's products in the
+    same order whatever the number of rows."""
+    y = (x[:, None, :] * w).sum(axis=2)
+    y += b
+    return y
+
+
+def _sample_major(shape: tuple) -> tuple:
+    """The (batch, channels, length) shape of a channel-major map."""
+    return (shape[1], shape[0], *shape[2:]) if len(shape) == 3 else shape
 
 
 def _relu_before_pool(specs, i) -> bool:
@@ -359,6 +403,8 @@ def forward(model: Model, x: np.ndarray, mode: str = "infer",
             f"got {x.shape}")
 
     train = mode == "train"
+    # channel-major from here on; no copy for a one-channel input
+    x = np.ascontiguousarray(x.transpose(1, 0, 2))
     specs, params = model.specs, model.params
     caches: list = [None] * len(specs)
     shapes: list[tuple] = []
@@ -378,16 +424,16 @@ def forward(model: Model, x: np.ndarray, mode: str = "infer",
             if train:
                 caches[i] = cols
             if fold:
-                shapes.append(x.shape)
+                shapes.append(_sample_major(x.shape))
                 i += 1
         elif spec.kind == "batchnorm":
             if train:
                 x, caches[i] = _batchnorm_train(x, layer)
             else:
                 scale, shift = _bn_affine(layer)
-                x = x * scale[:, None] + shift[:, None]
+                x = x * scale[:, None, None] + shift[:, None, None]
         elif _relu_before_pool(specs, i):
-            shapes.append(x.shape)
+            shapes.append(_sample_major(x.shape))
             i += 1
             x, idx = _maxpool(x, specs[i].pool, train)
             if train:
@@ -402,7 +448,7 @@ def forward(model: Model, x: np.ndarray, mode: str = "infer",
         elif spec.kind == "global_avg_pool":
             if train:
                 caches[i] = x.shape[2]
-            x = x.mean(axis=2)
+            x = np.ascontiguousarray(x.mean(axis=2).T)
         elif spec.kind == "dropout":
             if train and spec.rate > 0.0:
                 if rng is None:
@@ -414,7 +460,7 @@ def forward(model: Model, x: np.ndarray, mode: str = "infer",
         elif spec.kind == "dense":
             if train:
                 caches[i] = x
-            x = x @ layer["w"].T + layer["b"]
+            x = _dense(x, layer["w"], layer["b"])
         elif spec.kind == "softmax":
             logits = x
             # float64 so the rows normalize to 1 within 1e-9 even when
@@ -423,7 +469,7 @@ def forward(model: Model, x: np.ndarray, mode: str = "infer",
             shifted -= shifted.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             x = e / e.sum(axis=1, keepdims=True)
-        shapes.append(x.shape)
+        shapes.append(_sample_major(x.shape))
         i += 1
     return ForwardTrace(probs=x, logits=logits, caches=caches,
                         shapes=shapes, mode=mode)
@@ -469,7 +515,7 @@ def backward(model: Model, trace: ForwardTrace,
                 mask, keep = cache
                 g = g * mask / keep
         elif spec.kind == "global_avg_pool":
-            g = np.repeat(g[:, :, None] / np.asarray(cache, dtype=g.dtype),
+            g = np.repeat(g.T[:, :, None] / np.asarray(cache, dtype=g.dtype),
                           cache, axis=2)
         elif spec.kind == "maxpool":
             if i > 0 and _relu_before_pool(specs, i - 1):

@@ -418,13 +418,33 @@ def _run_fold(subject_id: str, subjects: list[SubjectData],
     )
 
 
-def _fold_pool(jobs: int) -> ProcessPoolExecutor:
-    """`jobs` fold workers, each with its share of the CPUs as BLAS
-    threads, so that the workers' BLAS threads do not outnumber the
-    CPUs and spin against each other."""
+# A fold worker's cohort, set once per worker by _fold_pool's initializer
+# so that each fold task carries only its subject id.
+_WORKER_SUBJECTS: list[SubjectData] = []
+
+
+def _init_fold_worker(blas_threads: int,
+                      subjects: list[SubjectData]) -> None:
+    global _WORKER_SUBJECTS
+    threads.set_blas_threads(blas_threads)
+    _WORKER_SUBJECTS = subjects
+
+
+def _run_worker_fold(subject_id: str, cfg: TrainConfig,
+                     out_dir: str | None,
+                     train_channels: Sequence[str] | None) -> FoldResult:
+    return _run_fold(subject_id, _WORKER_SUBJECTS, cfg, out_dir,
+                     train_channels)
+
+
+def _fold_pool(jobs: int,
+               subjects: list[SubjectData]) -> ProcessPoolExecutor:
+    """`jobs` fold workers, each holding the cohort and its share of the
+    CPUs as BLAS threads, so that the workers' BLAS threads do not
+    outnumber the CPUs and spin against each other."""
     return ProcessPoolExecutor(
-        max_workers=jobs, initializer=threads.set_blas_threads,
-        initargs=(max(1, threads.available_cpus() // jobs),))
+        max_workers=jobs, initializer=_init_fold_worker,
+        initargs=(max(1, threads.available_cpus() // jobs), subjects))
 
 
 def loso(subjects: Sequence[SubjectData], cfg: TrainConfig,
@@ -448,9 +468,9 @@ def loso(subjects: Sequence[SubjectData], cfg: TrainConfig,
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     ids = [s.subject_id for s in subjects]
     if jobs > 1:
-        with _fold_pool(jobs) as pool:
-            futures = [pool.submit(_run_fold, sid, list(subjects), cfg,
-                                   out_dir, train_channels) for sid in ids]
+        with _fold_pool(jobs, subjects) as pool:
+            futures = [pool.submit(_run_worker_fold, sid, cfg, out_dir,
+                                   train_channels) for sid in ids]
             return [f.result() for f in futures]
-    return [_run_fold(sid, list(subjects), cfg, out_dir, train_channels)
+    return [_run_fold(sid, subjects, cfg, out_dir, train_channels)
             for sid in ids]

@@ -9,7 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import finite_diff_grads, max_grad_rel_err
-from sleeptrend import nn
+from sleeptrend import nn, threads, training
 from sleeptrend.dsp import EPOCH_SAMPLES
 from sleeptrend.errors import ChecksumMismatch, ConfigError, ShapeMismatch
 
@@ -132,13 +132,14 @@ class TestLayerNumerics:
         x = rng.standard_normal((2, 3, 10))
         w = rng.standard_normal((4, 3, 5))
         b = rng.standard_normal(4)
-        y, _ = nn._conv1d_forward(x, w, b)
+        # the helper takes and returns channel-major (channels, batch, length)
+        y, _ = nn._conv1d_forward(x.transpose(1, 0, 2), w, b)
         xp = np.pad(x, ((0, 0), (0, 0), (2, 2)))
         for n in range(2):
             for co in range(4):
                 for t in range(10):
                     direct = np.sum(w[co] * xp[n, :, t:t + 5]) + b[co]
-                    assert abs(y[n, co, t] - direct) < 1e-12
+                    assert abs(y[co, n, t] - direct) < 1e-12
 
     def test_maxpool_and_gap_through_readout(self):
         specs = [nn.LayerSpec("maxpool", pool=2),
@@ -620,6 +621,77 @@ class TestForwardValidation:
         a = nn.forward(model, x).probs
         b = nn.forward(model, x).probs
         assert np.array_equal(a, b)
+
+
+def trained_like_model(seed):
+    """The reference network in float32 with batch-norm statistics and
+    affine terms away from their initial values."""
+    model = nn.build_model(nn.reference_architecture(), EPOCH_SAMPLES,
+                           seed=seed)
+    rng = np.random.default_rng(seed)
+    for layer in model.params:
+        if "running_mean" in layer:
+            c = layer["gamma"].size
+            layer["gamma"][...] = rng.uniform(0.5, 2.0, c)
+            layer["beta"][...] = rng.normal(0.0, 0.5, c)
+            layer["running_mean"][...] = rng.normal(0.0, 2.0, c)
+            layer["running_var"][...] = rng.uniform(0.5, 40.0, c)
+    return model
+
+
+class TestBatchIndependence:
+    """A row's probabilities do not depend on how many rows share its
+    batch, so `infer` (batches of 64) and `crossval` (256) agree."""
+
+    def test_rows_score_alike_alone_and_in_batches(self):
+        model = trained_like_model(seed=21)
+        x = (30.0 * np.random.default_rng(22).standard_normal(
+            (256, 1, EPOCH_SAMPLES))).astype(np.float32)
+        alone = np.concatenate([nn.forward(model, x[i:i + 1]).probs
+                                for i in range(len(x))])
+        for batch in (2, 7, 64, 256):
+            batched = np.concatenate(
+                [nn.forward(model, x[s:s + batch]).probs
+                 for s in range(0, len(x), batch)])
+            assert np.array_equal(batched, alone), batch
+
+    def test_infer_channel_does_not_depend_on_its_batch(self):
+        # 129 valid epochs: at batch 64 the last one is scored alone
+        model = trained_like_model(seed=25)
+        rng = np.random.default_rng(26)
+        x = (30.0 * rng.standard_normal((180, EPOCH_SAMPLES))).astype(
+            np.float32)
+        valid = np.zeros(180, dtype=bool)
+        valid[rng.choice(180, size=129, replace=False)] = True
+        at_64 = training.infer_channel(model, x, valid, batch=64)
+        at_256 = training.infer_channel(model, x, valid, batch=256)
+        assert np.array_equal(at_64, at_256, equal_nan=True)
+
+
+@pytest.mark.skipif(threads.blas_threads() is None,
+                    reason="numpy bundles no OpenBLAS")
+def test_train_step_is_bitwise_equal_at_one_and_two_blas_threads():
+    rng = np.random.default_rng(25)
+    x = (30.0 * rng.standard_normal((64, 1, EPOCH_SAMPLES))).astype(
+        np.float32)
+    targets = rng.integers(0, 2, size=64)
+
+    def step(blas_threads):
+        model = nn.build_model(nn.reference_architecture(), EPOCH_SAMPLES,
+                               seed=26)
+        with threads.blas_limited(blas_threads):
+            trace = nn.forward(model, x, "train",
+                               rng=np.random.default_rng(27))
+            grads = nn.backward(model, trace, targets)
+        return trace.probs, grads, model.params
+
+    probs_1, grads_1, params_1 = step(1)
+    probs_2, grads_2, params_2 = step(2)
+    assert np.array_equal(probs_1, probs_2)
+    for got, want in zip(grads_2 + params_2, grads_1 + params_1):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
 
 
 class TestCheckpoint:

@@ -3,6 +3,7 @@ early-stop bookkeeping, dual-expert dataset assembly, grouped stratified
 splitting, and the cross-validation harness on tiny synthetic subjects."""
 
 import csv
+import pickle
 
 import numpy as np
 import pytest
@@ -459,11 +460,38 @@ class TestLoso:
             self, monkeypatch, cpus, expected):
         monkeypatch.setattr(threads, "available_cpus", lambda: cpus)
         before = threads.blas_threads()
-        with training._fold_pool(2) as pool:
+        with training._fold_pool(2, []) as pool:
             counts = [pool.submit(threads.blas_threads).result()
                       for _ in range(4)]
         assert counts == [expected] * 4
         assert threads.blas_threads() == before
+
+    def test_fold_tasks_carry_only_the_subject_id(self, monkeypatch):
+        # the cohort reaches each worker once, through the initializer
+        tasks = []
+        real_pool = training._fold_pool
+
+        def recording_pool(*args):
+            pool = real_pool(*args)
+            submit = pool.submit
+
+            def record(fn, *task):
+                tasks.append(task)
+                return submit(fn, *task)
+            pool.submit = record
+            return pool
+
+        monkeypatch.setattr(training, "_fold_pool", recording_pool)
+        folds = loso(self.subjects(), self.cfg(), jobs=2)
+        assert [task[0] for task in tasks] == ["n0", "n1", "n2"]
+        for task in tasks:
+            assert b"SubjectData" not in pickle.dumps(task)
+        serial = loso(self.subjects(), self.cfg(), jobs=1)
+        for fold, want in zip(folds, serial):
+            for channel in want.predictions:
+                assert np.array_equal(fold.predictions[channel],
+                                      want.predictions[channel],
+                                      equal_nan=True)
 
     def test_one_job_keeps_the_blas_threads(self):
         before = threads.blas_threads()
