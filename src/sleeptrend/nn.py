@@ -448,6 +448,8 @@ def forward(model: Model, x: np.ndarray, mode: str = "infer",
         elif spec.kind == "global_avg_pool":
             if train:
                 caches[i] = x.shape[2]
+            # contiguous rows: on the transposed view the dense head's
+            # sums would run in an order that depends on the batch size
             x = np.ascontiguousarray(x.mean(axis=2).T)
         elif spec.kind == "dropout":
             if train and spec.rate > 0.0:
