@@ -419,10 +419,6 @@ def cmd_crossval(cfg: dict, args) -> int:
     return 0
 
 
-# Inference batch of `infer`; the predictions do not depend on it.
-INFER_BATCH = 64
-
-
 def cmd_infer(cfg: dict, args) -> int:
     # The calling thread scores channels while the pool conditions the
     # rest, so a second BLAS thread would only spin on a busy CPU.
@@ -435,12 +431,12 @@ def cmd_infer(cfg: dict, args) -> int:
 
         def first_aeeg(channel):
             nonlocal aeeg
-            aeeg = sst.compute_aeeg(channel.samples, fs=channel.fs)
+            aeeg = sst.compute_aeeg(channel.samples, fs=channel.fs,
+                                    overwrite=True)
 
         scored = sorted(
-            (i, label, training.infer_channel(model, x, valid,
-                                              batch=INFER_BATCH))
-            for i, label, (x, valid), _ in pipeline.condition_recording(
+            (i, report.channel, training.infer_channel(model, x, valid))
+            for i, (x, valid), report in pipeline.condition_recording(
                 read_edf(recording_path, subject_id=recording_path.stem),
                 _pairs(cfg), _section(cfg, "preprocess"),
                 _section(cfg, "artifact"), raw_first=first_aeeg))

@@ -9,6 +9,7 @@ back to training on ground truth when it exists.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -34,66 +35,72 @@ def condition_recording(recording: Recording,
                         artifact: ArtifactConfig = ArtifactConfig(),
                         raw_first: Callable[[ChannelSignal], None]
                         | None = None,
-                        ) -> Iterator[tuple[int, str,
-                                            tuple[np.ndarray, np.ndarray],
+                        ) -> Iterator[tuple[int, tuple[np.ndarray,
+                                                       np.ndarray],
                                             PreprocessReport]]:
     """Derive bipolar channels and run the conditioning chain on each;
-    yields (pair index, label, (epochs, valid), report) per channel, in
-    the order the channels finish.
+    yields (pair index, (epochs, valid), report) per channel, in the
+    order the channels finish. The report names the channel.
 
-    The channels are conditioned concurrently, one thread each up to the
-    CPUs available; the numerical work releases the GIL. Every pair is
-    checked first. Then each is derived on the calling thread and handed
-    to the pool as soon as it is made, with at most one more pair in
-    flight than there are workers, and each chain filters its own bipolar
-    array in place: the signal-sized arrays are all allocated here, on
-    the calling thread. The recording is let go once the last pair is
-    derived, and each bipolar array once its channel is conditioned: a
-    caller that hands over its only reference frees their memory then.
+    Every pair is checked first. Then each pair is one task of a thread
+    pool, one thread per task up to the CPUs available; the numerical
+    work releases the GIL. The calling thread allocates each pair's
+    float64 buffer, empty, as it submits the task, so the largest arrays
+    stay out of the pool threads' heaps, and it keeps at most one task
+    per thread in flight. The task derives its pair from the recording
+    into that buffer and filters it in place. The recording is let go
+    once the last pair is derived, and each buffer once its task ends:
+    a caller that hands over its only reference frees their memory then.
 
-    `raw_first`, when given, is called on the calling thread with the
-    first pair's raw bipolar channel while the pool conditions the
-    pairs that fill it; only then is the first channel filtered in place.
+    `raw_first`, when given, is one more task, submitted first: it is
+    called with its own derivation of the first pair, raw, which it may
+    overwrite. Its errors are raised here.
     """
     pairs = [tuple(p) for p in pairs]
     check_pairs(recording, pairs)
-    labels = {}
-    workers = min(len(pairs), _available_cpus())
-    # raw_first keeps the calling thread busy, so the first pair follows
-    # the pairs that keep the other CPUs busy
-    order = list(range(1, len(pairs)))
-    order.insert(workers - 1, 0)
+    # (pair index, pair) per task in submission order; None is raw_first
+    tasks = list(enumerate(pairs))
+    if raw_first is not None and pairs:
+        tasks.insert(0, (None, pairs[0]))
+    lengths = [len(recording.channel(a)) for _, (a, _) in tasks]
+    underived = len(tasks)
+    lock = threading.Lock()
 
-    def derive(i: int) -> ChannelSignal:
-        nonlocal recording
-        ch = derive_bipolar(recording, [pairs[i]]).channels[0]
-        labels[i] = ch.label
-        if i == order[-1]:
-            recording = None
-        if i == 0 and raw_first is not None:
-            raw_first(ch)
-        return ch
-
-    def condition(ch: ChannelSignal):
+    def run(k: int, out: np.ndarray):
+        nonlocal recording, underived
+        i, pair = tasks[k]
+        ch = derive_bipolar(recording, [pair], [out]).channels[0]
+        with lock:
+            underived -= 1
+            if not underived:
+                recording = None
+        if i is None:
+            return raw_first(ch)
         return dsp.preprocess_channel(ch.samples, ch.fs, ch.label,
                                       preprocess, artifact, overwrite=True)
 
-    if workers == 1:
-        for i in order:
-            arrays, report = condition(derive(i))
-            yield i, labels[i], arrays, report
+    workers = min(len(tasks), _available_cpus())
+    if workers <= 1:
+        for k, (i, _) in enumerate(tasks):
+            done = run(k, np.empty(lengths[k]))
+            if i is not None:
+                yield i, *done
         return
     with ThreadPoolExecutor(workers) as pool:
-        index = {pool.submit(condition, derive(i)): i
-                 for i in order[:workers + 1]}
-        queue = order[workers + 1:]
+        def submit(k: int):
+            return pool.submit(run, k, np.empty(lengths[k]))
+
+        index = {submit(k): k for k in range(workers)}
+        queue = iter(range(workers, len(tasks)))
         while index:
             future = next(as_completed(index))
-            done = index.pop(future)
-            if queue:  # the next pair is queued before the caller resumes
-                i = queue.pop(0)
-                index[pool.submit(condition, derive(i))] = i
-            yield done, labels[done], *future.result()
+            i = tasks[index.pop(future)][0]
+            done = future.result()
+            k = next(queue, None)
+            if k is not None:  # queued before the caller resumes
+                index[submit(k)] = k
+            if i is not None:
+                yield i, *done
 
 
 def preprocess_recording(recording: Recording,
@@ -106,8 +113,8 @@ def preprocess_recording(recording: Recording,
     its epoch array and validity mask, and to its report."""
     done = sorted(condition_recording(recording, pairs, preprocess,
                                       artifact), key=lambda item: item[0])
-    return ({label: arrays for _, label, arrays, _ in done},
-            {label: report for _, label, _, report in done})
+    return ({report.channel: arrays for _, arrays, report in done},
+            {report.channel: report for _, _, report in done})
 
 
 def assemble_subject(recording: Recording,

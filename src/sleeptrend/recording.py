@@ -363,30 +363,35 @@ def check_pairs(rec: Recording, pairs: Sequence[tuple[str, str]]) -> None:
                 f"cannot derive {a}-{b}: rates {ca.fs} vs {cb.fs} differ")
 
 
-def derive_bipolar(rec: Recording,
-                   pairs: Sequence[tuple[str, str]]) -> Recording:
+def derive_bipolar(rec: Recording, pairs: Sequence[tuple[str, str]],
+                   out: Sequence[np.ndarray] | None = None) -> Recording:
     """Build bipolar derivations (anode minus cathode) from referential
     channels. Swapping a pair negates the derived signal exactly.
 
     Each pair is made in blocks of whole records: the anode's microvolts
-    go straight into the pair's new buffer, and the cathode's, made in a
+    go straight into the pair's buffer, and the cathode's, made in a
     small scratch block, are subtracted from them. The result is bitwise
-    equal to subtracting the two channels' full `samples`.
+    equal to subtracting the two channels' full `samples`. `out`, when
+    given, holds each pair's float64 buffer, of its anode's length;
+    otherwise each pair gets a new one.
     """
     check_pairs(rec, pairs)
     derived = []
-    for a, b in pairs:
+    for i, (a, b) in enumerate(pairs):
         ca = rec.channel(a)
         cb = rec.channel(b)
+        buf = np.empty(len(ca)) if out is None else out[i]
+        if buf.shape != (len(ca),) or buf.dtype != np.float64:
+            raise ShapeMismatch(f"buffer {buf.dtype}{buf.shape} for "
+                                f"{len(ca)} float64 samples of {a}-{b}")
         unit = math.lcm(ca.record_samples, cb.record_samples)
         block = max(1, DERIVE_BLOCK // unit) * unit
-        out = np.empty(len(ca))
-        scratch = np.empty(min(block, out.size))
-        for start in range(0, out.size, block):
-            part = ca.microvolts_into(out[start:start + block], start)
+        scratch = np.empty(min(block, buf.size))
+        for start in range(0, buf.size, block):
+            part = ca.microvolts_into(buf[start:start + block], start)
             part -= cb.microvolts_into(scratch[:part.size], start)
         derived.append(ChannelSignal(label=f"{a}-{b}", fs=ca.fs,
-                                     samples=out))
+                                     samples=buf))
     return Recording(subject_id=rec.subject_id, duration_s=rec.duration_s,
                      channels=derived)
 

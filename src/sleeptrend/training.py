@@ -361,8 +361,14 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[nn.Model, History]:
     return model, history
 
 
+# Epochs per forward pass of infer_channel. A row's probabilities do not
+# depend on the batch (nn.forward), so this only sizes the working arrays:
+# at 16 rows the largest feature map is 2 MB.
+INFER_BATCH = 16
+
+
 def infer_channel(model: nn.Model, x: np.ndarray, valid: np.ndarray,
-                  batch: int = 256) -> np.ndarray:
+                  batch: int = INFER_BATCH) -> np.ndarray:
     """Per-epoch quiet-sleep probability for an (n_epochs, EPOCH_SAMPLES)
     array; epochs outside the validity mask come back NaN."""
     out = np.full(len(x), np.nan)

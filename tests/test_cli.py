@@ -450,7 +450,9 @@ def long_millivolt_recording(long_recording, tmp_path_factory):
 
 
 class TestInferSchedule:
-    @pytest.mark.parametrize("cpus", [1, 2])
+    # five CPUs give each of the five tasks (the aEEG and four pairs) its
+    # own thread
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     def test_outputs_equal_the_serial_composition(
             self, monkeypatch, crossval_dir, long_recording,
             long_millivolt_recording, tmp_path, cpus):
@@ -558,6 +560,23 @@ class TestInferFuzz:
                          "--out", str(tmp_path / "out")])
         assert code == 3
         assert "requires fs >" in capsys.readouterr().err
+
+    def test_rate_below_the_aeeg_band_exits_3(self, fuzz_inputs, tmp_path,
+                                              capsys):
+        # at 18.3 Hz an 8 Hz preprocessing band fits, so only the aEEG's
+        # 15 Hz edge fails, in a pool task
+        checkpoint, pristine = fuzz_inputs
+        raw = bytearray(pristine)
+        raw[244:252] = b"14      "
+        path = tmp_path / "f01.edf"
+        path.write_bytes(bytes(raw))
+        cfg = write_config(tmp_path, {"preprocess": {"high_hz": 8.0}})
+        code = cli.main(["infer", "--config", cfg,
+                         "--checkpoint", str(checkpoint),
+                         "--recording", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "high edge 15.0 Hz requires fs >" in capsys.readouterr().err
 
 
 def json_type(value) -> str:

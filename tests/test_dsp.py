@@ -1,7 +1,9 @@
 """Signal conditioning against frequency-sweep and sinusoid-fit oracles."""
 
+import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -380,41 +382,115 @@ class TestPreprocessRecording:
     def test_bad_pair_fails_before_any_pair_is_derived(self, monkeypatch):
         derived = []
         monkeypatch.setattr(pipeline, "derive_bipolar",
-                            lambda rec, pairs: derived.append(pairs))
+                            lambda rec, pairs, out=None: derived.append(pairs))
         with pytest.raises(MissingChannel):
             pipeline.preprocess_recording(
                 artifact_recording(),
                 pairs=[("F3", "P3"), ("F4", "P4"), ("F3", "Cz")])
         assert derived == []
 
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_pairs_in_flight_are_bounded(self, monkeypatch, cpus):
-        # a pair is in flight from its derivation until its conditioning
-        # ends; conditioning is slowed so an unbounded schedule would
-        # derive every pair before the first one ends
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_pairs_no_channels(self, monkeypatch, cpus):
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+        assert pipeline.preprocess_recording(artifact_recording(),
+                                             pairs=[]) == ({}, {})
+
+    def in_flight_peak(self, monkeypatch, cpus, raw_first=False):
+        """Peak count of tasks in flight while every ordered pair of the
+        four channels is conditioned: a task is in flight from its
+        derivation until its conditioning, or `raw_first`, ends. Both
+        are slowed, so an unbounded schedule would derive every pair
+        before the first one ends."""
         lock = threading.Lock()
         in_flight, peak = [0], [0]
         derive, condition = pipeline.derive_bipolar, dsp.preprocess_channel
 
-        def spy_derive(rec, pairs):
+        def spy_derive(*args, **kwargs):
             with lock:
                 in_flight[0] += 1
                 peak[0] = max(peak[0], in_flight[0])
-            return derive(rec, pairs)
+            return derive(*args, **kwargs)
 
-        def slow_condition(*args, **kwargs):
+        def end(result=None):
             time.sleep(0.05)
-            result = condition(*args, **kwargs)
             with lock:
                 in_flight[0] -= 1
             return result
 
         monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(pipeline, "derive_bipolar", spy_derive)
-        monkeypatch.setattr(dsp, "preprocess_channel", slow_condition)
+        monkeypatch.setattr(dsp, "preprocess_channel",
+                            lambda *args, **kwargs: end(condition(*args,
+                                                                  **kwargs)))
         pairs = [(a, b) for a in ("F3", "F4", "P3", "P4")
                  for b in ("F3", "F4", "P3", "P4") if a != b]
-        epochs, _ = pipeline.preprocess_recording(artifact_recording(),
-                                                  pairs)
-        assert list(epochs) == [f"{a}-{b}" for a, b in pairs]
-        assert peak[0] == (1 if cpus == 1 else cpus + 1)
+        done = sorted(pipeline.condition_recording(
+            artifact_recording(), pairs,
+            raw_first=(lambda ch: end()) if raw_first else None),
+            key=lambda item: item[0])
+        assert [report.channel for *_, report in done] \
+            == [f"{a}-{b}" for a, b in pairs]
+        return peak[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_pairs_in_flight_are_bounded(self, monkeypatch, cpus):
+        assert self.in_flight_peak(monkeypatch, cpus) == cpus
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_raw_first_counts_as_in_flight(self, monkeypatch, cpus):
+        assert self.in_flight_peak(monkeypatch, cpus, raw_first=True) \
+            == cpus
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    def test_raw_first_has_its_own_derivation(self, monkeypatch, cpus):
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+        rec = artifact_recording()
+        epochs, reports = pipeline.preprocess_recording(rec)
+        first = derive_bipolar(rec, pipeline.BIPOLAR_PAIRS[:1]).channels[0]
+        seen = []
+
+        def spoil(ch):
+            seen.append((ch.label, ch.samples.copy()))
+            ch.samples[:] = np.nan
+
+        done = list(pipeline.condition_recording(rec, raw_first=spoil))
+        assert len(seen) == 1
+        assert seen[0][0] == first.label
+        assert np.array_equal(seen[0][1], first.samples)
+        assert sorted(item[0] for item in done) == [0, 1, 2, 3]
+        for *_, (x, valid), report in done:
+            assert np.array_equal(x, epochs[report.channel][0])
+            assert np.array_equal(valid, epochs[report.channel][1])
+            assert report == reports[report.channel]
+
+    def test_recording_is_let_go_once_the_last_pair_is_derived(
+            self, monkeypatch):
+        # more threads than CPUs, switching often: a lost update of the
+        # count of pairs still to derive would keep the recording alive
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda: 8)
+        pairs = [(a, b) for a in ("F3", "F4", "P3", "P4")
+                 for b in ("F3", "F4", "P3", "P4") if a != b]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                rec = artifact_recording()
+                alive = weakref.ref(rec)
+                channels = pipeline.condition_recording(rec, pairs)
+                del rec
+                released = [alive() is None for _ in channels]
+                # the first channel comes while pairs are still to be
+                # submitted
+                assert not released[0] and released[-1]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_raw_first_errors_are_raised(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda: 2)
+
+        def fail(ch):
+            raise NyquistViolation("too slow")
+
+        with pytest.raises(NyquistViolation, match="too slow"):
+            list(pipeline.condition_recording(artifact_recording(),
+                                              raw_first=fail))

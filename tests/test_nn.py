@@ -641,7 +641,8 @@ def trained_like_model(seed):
 
 class TestBatchIndependence:
     """A row's probabilities do not depend on how many rows share its
-    batch, so `infer` (batches of 64) and `crossval` (256) agree."""
+    batch, so `infer_channel`'s batch of 16 only sizes its feature
+    maps."""
 
     def test_rows_score_alike_alone_and_in_batches(self):
         model = trained_like_model(seed=21)
@@ -649,7 +650,7 @@ class TestBatchIndependence:
             (256, 1, EPOCH_SAMPLES))).astype(np.float32)
         alone = np.concatenate([nn.forward(model, x[i:i + 1]).probs
                                 for i in range(len(x))])
-        for batch in (2, 7, 64, 256):
+        for batch in (2, 7, 16, 64, 256):
             batched = np.concatenate(
                 [nn.forward(model, x[s:s + batch]).probs
                  for s in range(0, len(x), batch)])
@@ -666,6 +667,8 @@ class TestBatchIndependence:
         at_64 = training.infer_channel(model, x, valid, batch=64)
         at_256 = training.infer_channel(model, x, valid, batch=256)
         assert np.array_equal(at_64, at_256, equal_nan=True)
+        assert np.array_equal(training.infer_channel(model, x, valid),
+                              at_256, equal_nan=True)
 
 
 @pytest.mark.skipif(threads.blas_threads() is None,

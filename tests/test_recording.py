@@ -8,7 +8,7 @@ from sleeptrend import recording
 from sleeptrend.errors import (DataError, InconsistentRecordLength,
                                MalformedHeader, MissingChannel,
                                NegativeDuration, OverlappingIntervals,
-                               UnsupportedTransducer)
+                               ShapeMismatch, UnsupportedTransducer)
 from sleeptrend.labels import Label
 from sleeptrend.recording import (AnnotationTrack, ChannelSignal, Recording,
                                   derive_bipolar, epoch_labels,
@@ -325,6 +325,24 @@ class TestBipolar:
         for source in (rec, read_edf(tmp_path / "x.edf")):
             with pytest.raises(DataError, match="rates"):
                 derive_bipolar(source, [("F3", "P3")])
+
+    def test_derives_into_given_buffers(self):
+        rec = make_recording(seed=6, duration_s=2.0)
+        pairs = [("F3", "P3"), ("F4", "P4")]
+        buffers = [np.full(512, np.nan), np.full(512, np.nan)]
+        derived = derive_bipolar(rec, pairs, buffers)
+        expected = derive_bipolar(rec, pairs)
+        for ch, buf, want in zip(derived.channels, buffers,
+                                 expected.channels):
+            assert ch.samples is buf
+            assert np.array_equal(buf, want.samples)
+
+    @pytest.mark.parametrize("buffer", [np.empty(511), np.empty(512, "f4"),
+                                        np.empty((2, 256))])
+    def test_buffer_must_fit_the_pair(self, buffer):
+        rec = make_recording(seed=7, duration_s=2.0)
+        with pytest.raises(ShapeMismatch):
+            derive_bipolar(rec, [("F3", "P3")], [buffer])
 
 
 def reference_bipolar(path, pairs):

@@ -387,6 +387,16 @@ class TestAeegBlocks:
             assert a.shape == b.shape == (n // per_epoch,)
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
+    def test_input_untouched_unless_overwrite(self):
+        x = 25.0 * np.random.default_rng(31).standard_normal(256 * 150)
+        before = x.copy()
+        expected = compute_aeeg(x, 256.0)
+        assert np.array_equal(x, before)
+        got = compute_aeeg(x, 256.0, overwrite=True)
+        assert not np.array_equal(x, before)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
 
 class TestCsv:
     def make_trace(self):
