@@ -431,8 +431,7 @@ def cmd_infer(cfg: dict, args) -> int:
 
         def first_aeeg(channel):
             nonlocal aeeg
-            aeeg = sst.compute_aeeg(channel.samples, fs=channel.fs,
-                                    overwrite=True)
+            aeeg = sst.compute_aeeg(channel.samples, fs=channel.fs)
 
         scored = sorted(
             (i, report.channel, training.infer_channel(model, x, valid))

@@ -55,6 +55,9 @@ def condition_recording(recording: Recording,
     `raw_first`, when given, is one more task, submitted first: it is
     called with its own derivation of the first pair, raw, which it may
     overwrite. Its errors are raised here.
+
+    When tasks fail, the error raised is that of the first failing task
+    in submission order, as without a pool, not of the first to finish.
     """
     pairs = [tuple(p) for p in pairs]
     check_pairs(recording, pairs)
@@ -94,6 +97,13 @@ def condition_recording(recording: Recording,
         queue = iter(range(workers, len(tasks)))
         while index:
             future = next(as_completed(index))
+            if future.exception() is not None:
+                # wait for the tasks in flight and raise the earliest
+                # submitted one's error: tasks are submitted in order and
+                # none after a failure, so that is the first failing task
+                errors = sorted((k, f.exception()) for f, k in index.items()
+                                if f.exception() is not None)
+                raise errors[0][1]
             i = tasks[index.pop(future)][0]
             done = future.result()
             k = next(queue, None)

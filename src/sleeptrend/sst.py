@@ -262,8 +262,8 @@ def build_trend(predictions: Mapping[str, np.ndarray],
 AEEG_BLOCK = 1 << 16
 
 
-def compute_aeeg(samples: np.ndarray, fs: float = dsp.TARGET_FS, *,
-                 overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def compute_aeeg(samples: np.ndarray, fs: float = dsp.TARGET_FS,
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude-integrated trend: band-pass 2-15 Hz, rectify, 0.5 s
     moving average, then the 10th and 90th percentile per 1-minute epoch.
     Returns (lower, upper) in µV; the trailing partial minute is dropped.
@@ -278,14 +278,13 @@ def compute_aeeg(samples: np.ndarray, fs: float = dsp.TARGET_FS, *,
     result is bitwise equal to one full-length `np.convolve(mode="same")`
     followed by `np.percentile` over every minute.
 
-    `samples` is left untouched unless `overwrite` is set; then a float64
-    `samples` is band-passed and rectified in place, and the only
-    signal-sized array is the input.
+    A float64 `samples` is band-passed and rectified in place, so the
+    only signal-sized array is the input; pass a copy to keep it. Any
+    other dtype is first converted to a new float64 array.
     """
     samples = np.asarray(samples, dtype=float)
     spec = dsp.design_butter_bandpass(2.0, 15.0, order=2, fs=fs)
-    rectified = dsp.filter_zero_phase(samples, spec,
-                                      out=samples if overwrite else None)
+    rectified = dsp.filter_zero_phase(samples, spec, out=samples)
     np.abs(rectified, out=rectified)
     win = max(1, int(round(0.5 * fs)))
     kernel = np.ones(win) / win

@@ -494,3 +494,21 @@ class TestPreprocessRecording:
         with pytest.raises(NyquistViolation, match="too slow"):
             list(pipeline.condition_recording(artifact_recording(),
                                               raw_first=fail))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    def test_first_failing_task_names_the_error(self, monkeypatch, cpus):
+        # every task fails, the first one last: its error is still the
+        # one raised, as on one CPU
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+
+        def fail_pair(samples, fs, channel, *args, **kwargs):
+            raise NyquistViolation(channel)
+
+        def fail_slowly(ch):
+            time.sleep(0.1)
+            raise NyquistViolation("aeeg")
+
+        monkeypatch.setattr(dsp, "preprocess_channel", fail_pair)
+        with pytest.raises(NyquistViolation, match="^aeeg$"):
+            list(pipeline.condition_recording(artifact_recording(),
+                                              raw_first=fail_slowly))

@@ -305,17 +305,15 @@ class TestAeeg:
     def test_amplitude_scaling_is_linear(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(64 * 180) * 20.0
-        lo1, up1 = compute_aeeg(x, 64.0)
         lo2, up2 = compute_aeeg(2.0 * x, 64.0)
+        lo1, up1 = compute_aeeg(x, 64.0)
         assert np.allclose(lo2, 2.0 * lo1, rtol=1e-9)
         assert np.allclose(up2, 2.0 * up1, rtol=1e-9)
 
     def test_band_is_each_minutes_percentiles(self):
         # one percentile call over all minutes matches a call per minute
         x = 30.0 * np.random.default_rng(4).standard_normal(64 * 60 * 4 + 9)
-        before = x.copy()
-        lower, upper = compute_aeeg(x, 64.0)
-        assert np.array_equal(x, before)
+        lower, upper = compute_aeeg(x.copy(), 64.0)
         spec = design_butter_bandpass(2.0, 15.0, order=2, fs=64.0)
         smooth = np.convolve(np.abs(filter_zero_phase(x, spec)),
                              np.ones(32) / 32, mode="same")
@@ -381,19 +379,26 @@ class TestAeegBlocks:
         t = np.arange(n) / fs
         # a bursting signal, so the percentiles move from minute to minute
         x = 25.0 * rng.standard_normal(n) * (1.5 + np.sin(t / 7.0))
-        got = compute_aeeg(x, fs)
+        got = compute_aeeg(x.copy(), fs)
         expected = reference_aeeg(x, fs)
         for a, b in zip(got, expected):
             assert a.shape == b.shape == (n // per_epoch,)
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
-    def test_input_untouched_unless_overwrite(self):
+    def test_float64_input_is_rectified_in_place(self):
         x = 25.0 * np.random.default_rng(31).standard_normal(256 * 150)
+        spec = design_butter_bandpass(2.0, 15.0, order=2, fs=256.0)
+        rectified = np.abs(filter_zero_phase(x, spec))
+        compute_aeeg(x, 256.0)
+        assert np.array_equal(x.view(np.int64), rectified.view(np.int64))
+
+    def test_other_dtypes_are_left_untouched(self):
+        x = (25.0 * np.random.default_rng(32).standard_normal(256 * 150)
+             ).astype(np.float32)
         before = x.copy()
-        expected = compute_aeeg(x, 256.0)
+        got = compute_aeeg(x, 256.0)
         assert np.array_equal(x, before)
-        got = compute_aeeg(x, 256.0, overwrite=True)
-        assert not np.array_equal(x, before)
+        expected = reference_aeeg(x.astype(np.float64), 256.0)
         for a, b in zip(got, expected):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
