@@ -223,7 +223,6 @@ def segment_epochs(x: np.ndarray, valid: list[bool] | None = None,
 def preprocess_channel(samples: np.ndarray, fs_in: float, channel: str,
                        preprocess: PreprocessConfig = PreprocessConfig(),
                        artifact: ArtifactConfig = ArtifactConfig(),
-                       *, overwrite: bool = False,
                        ) -> tuple[tuple[np.ndarray, np.ndarray],
                                   PreprocessReport]:
     """Run the fixed conditioning chain on one raw channel; returns the
@@ -235,9 +234,9 @@ def preprocess_channel(samples: np.ndarray, fs_in: float, channel: str,
     samples, which always reject their minute, are zeroed before the
     band-pass so they cannot spread into the valid minutes around them.
 
-    `samples` is left untouched unless `overwrite` is set; then a float64
-    `samples` is zeroed and band-passed in place, and no signal-sized
-    array is allocated.
+    A float64 `samples` is zeroed and band-passed in place, so no
+    signal-sized array is allocated at the raw rate; pass a copy to keep
+    it. Any other dtype is first converted to a new float64 array.
     """
     x = np.asarray(samples, dtype=np.float64)
     window = int(round(EPOCH_S * fs_in))
@@ -247,13 +246,11 @@ def preprocess_channel(samples: np.ndarray, fs_in: float, channel: str,
         if _window_is_artifact(x[i * window:(i + 1) * window], fs_in,
                                artifact))
     if not np.isfinite(x).all():
-        x = np.nan_to_num(x, copy=not overwrite, nan=0.0, posinf=0.0,
-                          neginf=0.0)
-        overwrite = True  # x is a copy now, or was ours to change
+        np.nan_to_num(x, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
 
     spec = design_butter_bandpass(preprocess.low_hz, preprocess.high_hz,
                                   order=preprocess.order, fs=fs_in)
-    filtered = filter_zero_phase(x, spec, out=x if overwrite else None)
+    filtered = filter_zero_phase(x, spec, out=x)
     at_target = resample(filtered, fs_in, TARGET_FS)
 
     flags = np.ones(n_windows, dtype=bool)

@@ -25,13 +25,25 @@ The dense head sums its products row by row in a fixed order, so a
 row's output does not depend on how many rows share its batch (a matrix
 product takes a different path for a single row).
 
-One layer loop serves every stack, and fuses two pairings where the spec
-list has them. A ReLU directly before a max-pool runs after the pool, at
-the pooled resolution, and keeps its mask there; ReLU is monotone, so the
-output and the gradient are unchanged. In inference, a batch norm
-directly after a convolution is folded into that convolution's weight
-and bias (Jacob et al., CVPR 2018, section 3.2), and no backward caches
-are kept. Training still normalises with batch statistics.
+One layer loop serves every stack, and fuses what the spec list allows.
+A ReLU directly before a max-pool runs after the pool, at the pooled
+resolution, and keeps its mask there; ReLU is monotone, so the output
+and the gradient are unchanged. In inference, a batch norm directly
+after a convolution is folded into that convolution's weight and bias
+(Jacob et al., CVPR 2018, section 3.2), and no backward caches are kept.
+
+Training normalises with batch statistics (Ioffe & Szegedy, ICML 2015).
+When the network opens with conv1d → batchnorm → relu → maxpool, as the
+reference architecture does, training runs that chain as one step at
+the pooled resolution. The batch mean and variance of the convolution
+output come from centred im2col rows, one pool phase at a time, and the
+output is pooled before the batch-norm affine a·(y - mean) + beta,
+a = gamma / σ. That affine commutes with a max-pool where a >= 0; where
+a < 0 (gamma < 0) it turns the window's minimum into its maximum, so
+those channels pool the minimum. The affine and the ReLU then run on
+the pooled map, and the backward pass needs no full-resolution gradient.
+That convolution's bias gradient is exactly zero, since batch norm
+removes any per-channel constant.
 """
 
 from __future__ import annotations
@@ -257,25 +269,36 @@ def _tap_span(s: int, length: int) -> tuple[int, int]:
     return lo, max(min(length, length - s), lo)
 
 
+def _im2col(x, k, pool=1):
+    """The im2col copy of a (cin, batch, length) map for a same-padded
+    kernel of k taps, (cin * k, pool, batch * length // pool): row
+    ci * k + t holds x[ci] shifted by t - k // 2, with zeros where the
+    shift leaves the map, and its phase j the positions j, j + pool, ...
+    of each batch row, as a max-pool of that factor reads them."""
+    cin, n, length = x.shape
+    pooled = length // pool
+    phased = x.reshape(cin, n, pooled, pool)
+    cols = np.empty((cin, k, pool, n, pooled), dtype=x.dtype)
+    for t in range(k):
+        for j in range(pool):
+            s, p = divmod(j + t - k // 2, pool)
+            lo, hi = _tap_span(s, pooled)
+            tap = cols[:, t, j]
+            tap[..., :lo] = 0
+            tap[..., hi:] = 0
+            tap[..., lo:hi] = phased[..., lo + s:hi + s, p]
+    return cols.reshape(cin * k, pool, n * pooled)
+
+
 def _conv1d_forward(x, w, b):
     """Same-padded cross-correlation of a (cin, batch, length) map as one
-    matrix product. Row ci * k + t of the im2col copy holds x[ci] shifted
-    by t - k // 2, with zeros where the shift leaves the map; the copy is
-    returned flat, (cin * k, batch * length), for the backward pass."""
-    cin, n, length = x.shape
-    cout, _, k = w.shape
-    cols = np.empty((cin, k, n, length), dtype=x.dtype)
-    for t in range(k):
-        s = t - k // 2
-        lo, hi = _tap_span(s, length)
-        tap = cols[:, t]
-        tap[..., :lo] = 0
-        tap[..., hi:] = 0
-        tap[..., lo:hi] = x[..., lo + s:hi + s]
-    cols = cols.reshape(cin * k, n * length)
-    y = w.reshape(cout, cin * k) @ cols
+    matrix product over its flat im2col copy, which is returned for the
+    backward pass."""
+    cout, cin, k = w.shape
+    cols = _im2col(x, k).reshape(cin * k, -1)
+    y = w.reshape(cout, -1) @ cols
     y += b[:, None]
-    return y.reshape(cout, n, length), cols
+    return y.reshape(cout, *x.shape[1:]), cols
 
 
 def _conv1d_backward(g, w, cols, need_dx):
@@ -303,6 +326,13 @@ def _bn_affine(layer):
     return scale, layer["beta"] - layer["running_mean"] * scale
 
 
+def _update_running(layer, mean, var):
+    layer["running_mean"][...] = (BN_MOMENTUM * layer["running_mean"]
+                                  + (1.0 - BN_MOMENTUM) * mean)
+    layer["running_var"][...] = (BN_MOMENTUM * layer["running_var"]
+                                 + (1.0 - BN_MOMENTUM) * var)
+
+
 def _batchnorm_train(x, layer):
     """Normalize with batch statistics and update the running ones.
     Returns the output and the backward cache (x̂, inv_std)."""
@@ -314,10 +344,7 @@ def _batchnorm_train(x, layer):
     var = np.einsum("cm,cm->c", xhat, xhat) / m
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[:, None]
-    layer["running_mean"][...] = (BN_MOMENTUM * layer["running_mean"]
-                                  + (1.0 - BN_MOMENTUM) * mean)
-    layer["running_var"][...] = (BN_MOMENTUM * layer["running_var"]
-                                 + (1.0 - BN_MOMENTUM) * var)
+    _update_running(layer, mean, var)
     y = xhat * layer["gamma"][:, None]
     y += layer["beta"][:, None]
     return y.reshape(x.shape), (xhat.reshape(x.shape), inv_std)
@@ -362,6 +389,103 @@ def _maxpool_backward(g, idx, pool):
     for j in range(pool):
         np.multiply(g, idx == j, out=full[..., j::pool])
     return full
+
+
+def _pooled_block(specs, i) -> bool:
+    """Layer i opens a conv1d → batchnorm → relu → maxpool chain whose
+    convolution needs no input gradient, being the first layer. In
+    training the chain runs as one step at the pooled resolution."""
+    return i == 0 and [spec.kind for spec in specs[:4]] == [
+        "conv1d", "batchnorm", "relu", "maxpool"]
+
+
+def _pooled_block_train(x, conv, bn, pool):
+    """The conv → batch norm → ReLU → max-pool chain in train mode,
+    without the convolution's output, its normalised map or the affine
+    output at full resolution.
+
+    The batch mean of the convolution output y = w @ cols + b is
+    w @ mean(cols) + b, so with centred im2col rows d = w @ cols is
+    y minus its mean. d is made one pool phase at a time into one
+    buffer; each phase adds its Σd² (the centred variance, summed in
+    float64) and its d @ colsᵀ, and is pooled. The per-channel affine
+    a·d + beta with a = gamma / σ commutes with the max-pool where
+    a >= 0; where a < 0 it maps the window's minimum to its maximum, so
+    those rows of w are negated and still max-pooled. Either way the
+    pool keeps the first extremum, the one argmax over the affine map
+    picks. The affine and the ReLU then run on the pooled map.
+
+    Returns the output and the backward cache: the centred im2col rows
+    by phase, the pool phases, the pooled x̂, the ReLU mask, inv_std and
+    x̂ @ colsᵀ over every position."""
+    w, gamma = conv["w"], bn["gamma"]
+    cout, _, k = w.shape
+    _, n, length = x.shape
+    cols = _im2col(x, k, pool)
+    col_mean = cols.mean(axis=(1, 2), dtype=np.float64)
+    cols -= col_mean.astype(x.dtype)[:, None, None]
+    w = w.reshape(cout, -1)
+    sign = np.where(gamma < 0, -1, 1).astype(x.dtype)
+    signed_w = w * sign[:, None]
+    pooled = np.empty((cout, cols.shape[2]), dtype=x.dtype)
+    idx = np.zeros(pooled.shape, np.min_scalar_type(pool - 1))
+    d = np.empty_like(pooled)
+    wins = np.empty(pooled.shape, dtype=bool)
+    sq = np.zeros(cout)
+    xc = np.zeros(w.shape)
+    for j in range(pool):
+        phase = d if j else pooled
+        np.matmul(signed_w, cols[:, j], out=phase)
+        sq += np.einsum("cm,cm->c", phase, phase)
+        xc += phase @ cols[:, j].T
+        if j:
+            # the last phase to beat the running maximum is where the
+            # first maximum of the window sits
+            np.greater(d, pooled, out=wins)
+            np.maximum(idx, wins * idx.dtype.type(j), out=idx)
+            np.maximum(pooled, d, out=pooled)
+    mean = (w @ col_mean).astype(x.dtype) + conv["b"]
+    var = (sq / (n * length)).astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    _update_running(bn, mean, var)
+    scale = sign * inv_std
+    xhat = pooled.reshape(cout, n, -1)
+    xhat *= scale[:, None, None]
+    y = xhat * gamma[:, None, None]
+    y += bn["beta"][:, None, None]
+    mask = y > 0
+    np.maximum(y, 0, out=y)
+    xc_hat = (xc * scale[:, None]).astype(x.dtype)
+    return y, (cols, idx, xhat, mask, inv_std, xc_hat)
+
+
+def _pooled_block_backward(g, conv, bn, cache):
+    """({"w", "b"}, {"gamma", "beta"}) gradients of the pooled step from
+    its pooled output gradient. Batch norm's input gradient
+    a·(g - Σg/m - x̂·Σ(g·x̂)/m) is non-zero only where the pool picked,
+    so the weight gradient, its product with the im2col rows, is
+    a·(G₁ - (Σg·x̂/m)·x̂ @ colsᵀ), G₁ being each window's gradient against
+    the im2col columns of its picked position. The centred rows absorb
+    the Σg/m term. m counts the full-resolution positions. The bias
+    adds the same constant to every position of a channel, which batch
+    norm removes, so its gradient is exactly zero."""
+    cols, idx, xhat, mask, inv_std, xc_hat = cache
+    c = g.shape[0]
+    g = g.reshape(c, -1) * mask.reshape(c, -1)
+    dbeta = g.sum(axis=1)
+    dgamma = np.einsum("cm,cm->c", g, xhat.reshape(c, -1))
+    picked = np.empty(g.shape, dtype=bool)
+    routed = np.empty_like(g)
+    g1 = np.zeros((c, cols.shape[0]), dtype=g.dtype)
+    for j in range(cols.shape[1]):
+        np.equal(idx, j, out=picked)
+        np.multiply(g, picked, out=routed)
+        g1 += routed @ cols[:, j].T
+    dw = (bn["gamma"] * inv_std)[:, None] * (
+        g1 - (dgamma / cols[0].size)[:, None] * xc_hat)
+    return ({"w": dw.reshape(conv["w"].shape),
+             "b": np.zeros(c, dtype=g.dtype)},
+            {"gamma": dgamma, "beta": dbeta})
 
 
 def _dense(x, w, b):
@@ -412,7 +536,14 @@ def forward(model: Model, x: np.ndarray, mode: str = "infer",
     i = 0
     while i < len(specs):
         spec, layer = specs[i], params[i]
-        if spec.kind == "conv1d":
+        if train and _pooled_block(specs, i):
+            pool = specs[i + 3].pool
+            x, caches[i] = _pooled_block_train(x, layer, params[i + 1], pool)
+            full = _sample_major((layer["w"].shape[0], x.shape[1],
+                                  x.shape[2] * pool))
+            shapes += [full] * 3
+            i += 3
+        elif spec.kind == "conv1d":
             w, b = layer["w"], layer["b"]
             fold = not train and i + 1 < len(specs) \
                 and specs[i + 1].kind == "batchnorm"
@@ -519,6 +650,10 @@ def backward(model: Model, trace: ForwardTrace,
         elif spec.kind == "global_avg_pool":
             g = np.repeat(g.T[:, :, None] / np.asarray(cache, dtype=g.dtype),
                           cache, axis=2)
+        elif spec.kind == "maxpool" and _pooled_block(specs, i - 3):
+            grads[i - 3], grads[i - 2] = _pooled_block_backward(
+                g, params[i - 3], params[i - 2], caches[i - 3])
+            break  # the block opens the network
         elif spec.kind == "maxpool":
             if i > 0 and _relu_before_pool(specs, i - 1):
                 g = g * caches[i - 1]

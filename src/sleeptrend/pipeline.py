@@ -80,7 +80,7 @@ def condition_recording(recording: Recording,
         if i is None:
             return raw_first(ch)
         return dsp.preprocess_channel(ch.samples, ch.fs, ch.label,
-                                      preprocess, artifact, overwrite=True)
+                                      preprocess, artifact)
 
     workers = min(len(tasks), _available_cpus())
     if workers <= 1:
@@ -137,6 +137,9 @@ def assemble_subject(recording: Recording,
     if not tracks:
         raise DataError(
             f"subject {recording.subject_id}: no annotation tracks")
+    if not pairs:
+        raise DataError(
+            f"subject {recording.subject_id}: no channel pairs given")
     epochs, _ = preprocess_recording(recording, pairs, preprocess, artifact)
     counts = {len(x) for x, _ in epochs.values()}
     if len(counts) != 1:

@@ -31,7 +31,6 @@ CHANNELS = ("F3", "F4", "P3", "P4")
 GENERATOR_FS = 256.0
 ARTIFACT_PEAK_UV = 300.0
 AMPLITUDE_CAP_UV = 500.0
-NOISE_KINDS = ("ecg_like", "movement", "line")
 
 # Stream ids for the counter-based per-subject generators. Each concern
 # gets its own Philox key so subjects can be built independently and in
@@ -41,10 +40,6 @@ _STREAM_ARTIFACT = 1
 _STREAM_CHANNEL0 = 2
 
 _PINK_FLOOR_HZ = 0.4
-
-# Electrode-dependent coupling for injected contaminants. Distinct gains
-# keep a residual after bipolar derivation instead of cancelling.
-_COUPLING = (1.0, 0.8, 0.65, 0.5)
 
 
 def _check_range(name: str, pair: tuple[float, float]) -> None:
@@ -287,71 +282,6 @@ def jitter_track(track: AnnotationTrack, max_shift_s: float,
             rows.append((a, float(b - a)))
             prev_end = float(b)
     return AnnotationTrack.from_rows(rows)
-
-
-def _add_ecg(rng: np.random.Generator, channels: list[ChannelSignal],
-             amplitude: float) -> None:
-    rate = rng.uniform(1.0, 2.0)
-    for i, ch in enumerate(channels):
-        gain = _COUPLING[i % len(_COUPLING)]
-        width = max(2, round(0.12 * ch.fs))
-        pulse = np.sin(np.pi * np.arange(width) / (width - 1))
-        period = ch.fs / rate
-        starts = np.arange(0.0, ch.samples.size - width, period)
-        for s in np.round(starts).astype(int):
-            ch.samples[s:s + width] += amplitude * gain * pulse
-
-
-def _add_movement(rng: np.random.Generator, channels: list[ChannelSignal],
-                  amplitude: float, duration_s: float) -> None:
-    events = max(1, round(duration_s / 600.0))
-    for _ in range(events):
-        ch = channels[int(rng.integers(len(channels)))]
-        length = round(rng.uniform(2.0, 5.0) * ch.fs)
-        start = int(rng.integers(0, max(1, ch.samples.size - length)))
-        freq = rng.uniform(0.3, 1.0)
-        t = np.arange(length) / ch.fs
-        lurch = amplitude * np.sin(2.0 * np.pi * freq * t)
-        ch.samples[start:start + length] += lurch * tukey(length, 0.8)
-
-
-def _add_line(rng: np.random.Generator,
-              channels: list[ChannelSignal], amplitude: float) -> None:
-    for i, ch in enumerate(channels):
-        gain = _COUPLING[i % len(_COUPLING)]
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        t = np.arange(ch.samples.size) / ch.fs
-        ch.samples += amplitude * gain * np.sin(2.0 * np.pi * 50.0 * t + phase)
-
-
-def inject_noise(recording: Recording, kind: str, amplitude_uv: float,
-                 seed: int = 0) -> Recording:
-    """Additive contamination of a named kind; annotations stay valid.
-
-    Returns a new recording; amplitude 0 returns an identical copy.
-    ecg_like is a periodic 1 to 2 Hz pulse train, movement is a handful
-    of multi-second lurches on single channels (the one contaminant meant
-    to break the amplitude budget), line is a continuous 50 Hz hum.
-    """
-    if kind not in NOISE_KINDS:
-        raise ConfigError(f"unknown noise kind {kind!r}, "
-                          f"expected one of {NOISE_KINDS}")
-    if amplitude_uv < 0:
-        raise ConfigError(f"amplitude {amplitude_uv} is negative")
-    rng = np.random.default_rng([seed, NOISE_KINDS.index(kind)])
-    channels = [ChannelSignal(label=ch.label, fs=ch.fs,
-                              samples=ch.samples.copy())
-                for ch in recording.channels]
-    if amplitude_uv > 0:
-        if kind == "ecg_like":
-            _add_ecg(rng, channels, amplitude_uv)
-        elif kind == "movement":
-            _add_movement(rng, channels, amplitude_uv,
-                          recording.duration_s)
-        else:
-            _add_line(rng, channels, amplitude_uv)
-    return Recording(subject_id=recording.subject_id,
-                     duration_s=recording.duration_s, channels=channels)
 
 
 def write_dataset(generated: list[tuple[Recording, GroundTruth]],

@@ -14,10 +14,11 @@ from sleeptrend import dsp, pipeline
 from sleeptrend.dsp import (ArtifactConfig, EPOCH_SAMPLES,
                             design_butter_bandpass, filter_zero_phase,
                             preprocess_channel, resample, segment_epochs)
-from sleeptrend.errors import (ConfigError, InvalidEpoch, MissingChannel,
-                               NyquistViolation, ShapeMismatch,
-                               TooShortSignal)
-from sleeptrend.recording import ChannelSignal, Recording, derive_bipolar
+from sleeptrend.errors import (ConfigError, DataError, InvalidEpoch,
+                               MissingChannel, NyquistViolation,
+                               ShapeMismatch, TooShortSignal)
+from sleeptrend.recording import (AnnotationTrack, ChannelSignal, Recording,
+                                  derive_bipolar)
 from sleeptrend.training import SubjectData
 
 FS = 256.0
@@ -304,25 +305,28 @@ class TestPipeline:
         rng = np.random.default_rng(12)
         x = 20.0 * rng.standard_normal(int(FS * 60 * 5))
         x[int(FS * 150)] = np.nan
-        samples = x.copy()
         (epochs, valid), report = preprocess_channel(x, FS, "F3-P3")
         assert report.rejected == (2,)
         assert valid.tolist() == [True, True, False, True, True]
         assert np.isfinite(epochs).all()
-        assert np.array_equal(x, samples, equal_nan=True)  # input untouched
+        assert np.isfinite(x).all()  # zeroed and filtered in place
 
-    def test_input_untouched_unless_overwrite(self):
+    def test_float64_input_filtered_in_place(self):
         rng = np.random.default_rng(13)
         x = 20.0 * rng.standard_normal(int(FS * 60 * 3))
         samples = x.copy()
+        single = x.astype(np.float32)
         (epochs, valid), report = preprocess_channel(x, FS, "F3-P3")
-        assert np.array_equal(x, samples)
+        assert not np.array_equal(x, samples)  # filtered in place
         (again, again_valid), again_report = preprocess_channel(
-            x, FS, "F3-P3", overwrite=True)
+            samples.copy(), FS, "F3-P3")
         assert np.array_equal(again, epochs)
         assert np.array_equal(again_valid, valid)
         assert again_report == report
-        assert not np.array_equal(x, samples)  # filtered in place
+        # any other dtype is converted to a new array first
+        kept = single.copy()
+        preprocess_channel(single, FS, "F3-P3")
+        assert np.array_equal(single, kept)
 
 
 def artifact_recording():
@@ -394,6 +398,11 @@ class TestPreprocessRecording:
         monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
         assert pipeline.preprocess_recording(artifact_recording(),
                                              pairs=[]) == ({}, {})
+
+    def test_subject_without_pairs_is_rejected(self):
+        tracks = {"truth": AnnotationTrack.from_rows([(0.0, 60.0)])}
+        with pytest.raises(DataError, match="no channel pairs"):
+            pipeline.assemble_subject(artifact_recording(), tracks, pairs=[])
 
     def in_flight_peak(self, monkeypatch, cpus, raw_first=False):
         """Peak count of tasks in flight while every ordered pair of the

@@ -537,12 +537,25 @@ def _tie_stack(relu):
                nn.LayerSpec("dense", units=2), nn.LayerSpec("softmax")])
 
 
+# Two copies of the input, one per channel, through batch norm with
+# gamma > 0 on channel 0 and gamma < 0 on channel 1. After the affine
+# the tied maxima [3, 3] and [6, 6] stay tied maxima on channel 0, and
+# the tied minima [3, 3] and [0, 0] become tied maxima on channel 1, all
+# of them above zero.
+TIE_BATCHNORM_STACK = [nn.LayerSpec("conv1d", out_channels=2, kernel=3),
+                       nn.LayerSpec("batchnorm"), nn.LayerSpec("relu"),
+                       nn.LayerSpec("maxpool", pool=2),
+                       nn.LayerSpec("global_avg_pool"),
+                       nn.LayerSpec("dense", units=2), nn.LayerSpec("softmax")]
+TIE_GAMMA, TIE_BETA = [1.2, -0.8], [0.3, 0.5]
+
 REFERENCE_CASES = {
     "reference_architecture": (nn.reference_architecture(), EPOCH_SAMPLES,
                                1),
     **{f"gradcheck_{i}": stack for i, stack in enumerate(GRADCHECK_CONFIGS)},
     "ties_relu_maxpool": (_tie_stack(relu=True), 8, 1),
     "ties_maxpool": (_tie_stack(relu=False), 8, 1),
+    "ties_batchnorm_negative_gamma": (TIE_BATCHNORM_STACK, 8, 1),
 }
 
 
@@ -561,6 +574,9 @@ class TestMatchesReferenceLoop:
         if name.startswith("ties"):
             model.params[0]["w"][...] = [[[0.0, 1.0, 0.0]]]
             x = TIE_INPUT
+            if name == "ties_batchnorm_negative_gamma":
+                model.params[1]["gamma"][...] = TIE_GAMMA
+                model.params[1]["beta"][...] = TIE_BETA
         else:
             scale = 30.0 if name == "reference_architecture" else 2.0
             x = scale * rng.standard_normal((4, channels, length))
@@ -598,6 +614,55 @@ class TestMatchesReferenceLoop:
             for key in want:
                 err = np.max(np.abs(got[key] - want[key])) / scale
                 assert err < 1e-9, (i, key, err)
+
+
+    def test_reference_cases_have_negative_gamma(self):
+        for name in ("reference_architecture",
+                     "ties_batchnorm_negative_gamma"):
+            model, _, _ = self.build(name, np.float64)
+            gamma = model.params[1]["gamma"]
+            assert (gamma < 0).any() and (gamma > 0).any(), name
+
+    def test_first_conv_bias_gradient_is_exactly_zero(self):
+        # batch norm removes a per-channel constant, so conv 0's bias has
+        # an analytic gradient of exactly zero, not rounding noise
+        model, x, targets = self.build("reference_architecture", np.float32)
+        trace = nn.forward(model, x, "train", rng=np.random.default_rng(5))
+        grads = nn.backward(model, trace, targets)
+        assert grads[0]["b"].dtype == np.float32
+        assert np.all(grads[0]["b"] == 0.0)
+
+    def test_weight_gradient_holds_under_a_dc_offset(self):
+        # 200 uV of DC on every sample: conv 0's float32 weight gradient
+        # must be as close to a float64 reference as the per-layer
+        # helpers bring it. A rate-0 dropout ahead of the conv keeps the
+        # same weights off the fused layer-0 step.
+        model, x, targets = self.build("reference_architecture", np.float32)
+        x = x + np.float32(200.0)
+        unfused = nn.Model(
+            specs=[nn.LayerSpec("dropout", rate=0.0)] + model.specs,
+            params=[{}] + copy.deepcopy(model.params),
+            input_len=model.input_len, in_channels=model.in_channels,
+            n_classes=model.n_classes, dtype=model.dtype)
+        exact = copy.deepcopy(model)
+        exact.dtype = np.dtype(np.float64)
+        exact.params = [{k: v.astype(np.float64) for k, v in layer.items()}
+                        for layer in exact.params]
+
+        def weight_gradient(net, first):
+            trace = nn.forward(net, x, "train", rng=np.random.default_rng(5))
+            return nn.backward(net, trace, targets)[first]["w"]
+
+        probs, caches = reference_forward(exact, x, "train",
+                                          rng=np.random.default_rng(5))
+        want = reference_backward(exact, probs, caches, targets)[0]["w"]
+
+        def error(got):
+            return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+        fused = error(weight_gradient(model, 0))
+        helpers = error(weight_gradient(unfused, 1))
+        assert fused <= helpers, (fused, helpers)
 
 
 class TestForwardValidation:

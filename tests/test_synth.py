@@ -1,5 +1,5 @@
 """Generator contracts: determinism, state structure, amplitude budget,
-artifact bookkeeping, contamination kinds, and file round trips."""
+artifact bookkeeping, and file round trips."""
 
 import numpy as np
 import pytest
@@ -218,66 +218,3 @@ class TestWriteDataset:
                                                    truth.track.intervals):
             assert abs(onset - ref_on) <= 30.0
             assert abs((onset + dur) - (ref_on + ref_dur)) <= 30.0
-
-
-@pytest.fixture(scope="module")
-def clean():
-    cfg = synth.SynthConfig(seed=9, n_subjects=1, duration_min=30.0)
-    return synth.generate(cfg)[0][0]
-
-
-class TestInjectNoise:
-
-    def test_unknown_kind_rejected(self, clean):
-        with pytest.raises(ConfigError):
-            synth.inject_noise(clean, "gamma_rays", 10.0)
-
-    def test_negative_amplitude_rejected(self, clean):
-        with pytest.raises(ConfigError):
-            synth.inject_noise(clean, "line", -1.0)
-
-    @pytest.mark.parametrize("kind", synth.NOISE_KINDS)
-    def test_zero_amplitude_is_identity(self, clean, kind):
-        out = synth.inject_noise(clean, kind, 0.0, seed=1)
-        for label in clean.labels:
-            assert np.array_equal(out.channel(label).samples,
-                                  clean.channel(label).samples)
-
-    def test_source_recording_untouched(self, clean):
-        before = {label: clean.channel(label).samples.copy()
-                  for label in clean.labels}
-        synth.inject_noise(clean, "line", 25.0, seed=1)
-        for label in clean.labels:
-            assert np.array_equal(clean.channel(label).samples,
-                                  before[label])
-
-    @pytest.mark.parametrize("seed", [1, 4, 7])
-    def test_ecg_like_rate_in_band(self, clean, seed):
-        # the pulse train's fundamental (lowest strong spectral line)
-        # must sit in the configured 1-2 Hz range; harmonics may be taller
-        noisy = synth.inject_noise(clean, "ecg_like", 60.0, seed=seed)
-        delta = noisy.channel("F3").samples - clean.channel("F3").samples
-        spectrum = np.abs(np.fft.rfft(delta))
-        freqs = np.fft.rfftfreq(delta.size, 1.0 / 256.0)
-        keep = freqs >= 0.5
-        lines = freqs[keep][spectrum[keep] >= 0.3 * spectrum[keep].max()]
-        assert 0.9 <= lines[0] <= 2.1
-
-    def test_line_hum_at_mains_frequency(self, clean):
-        noisy = synth.inject_noise(clean, "line", 20.0, seed=4)
-        delta = noisy.channel("P3").samples - clean.channel("P3").samples
-        spectrum = np.abs(np.fft.rfft(delta))
-        freqs = np.fft.rfftfreq(delta.size, 1.0 / 256.0)
-        assert freqs[np.argmax(spectrum)] == pytest.approx(50.0, abs=0.05)
-
-    def test_movement_breaks_limit_and_is_rejected(self, clean):
-        noisy = synth.inject_noise(clean, "movement", 400.0, seed=2)
-        peak = max(np.max(np.abs(noisy.channel(label).samples))
-                   for label in noisy.labels)
-        assert peak > 250.0
-        bipolar = derive_bipolar(noisy, BIPOLAR_PAIRS)
-        rejected = set()
-        for ch in bipolar.channels:
-            _, report = dsp.preprocess_channel(ch.samples, 256.0, ch.label)
-            rejected.update(report.rejected)
-        assert rejected
