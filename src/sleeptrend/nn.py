@@ -42,9 +42,8 @@ a·(y - mean) + beta, a = gamma / σ. That affine commutes with a max-pool
 where a >= 0; where a < 0 (gamma < 0) it turns the window's minimum into
 its maximum, so those channels pool the minimum. The affine and the ReLU
 then run on the pooled map, and the backward pass needs no
-full-resolution gradient.
-That convolution's bias gradient is exactly zero, since batch norm
-removes any per-channel constant.
+full-resolution gradient. That convolution's bias gradient is exactly
+zero, since batch norm removes any per-channel constant.
 """
 
 from __future__ import annotations
