@@ -25,8 +25,7 @@ import numpy as np
 
 from . import envelope, nn, pipeline, sst, synth, threads, training
 from .dsp import ArtifactConfig, PreprocessConfig
-from .errors import (ConfigError, DataError, SingleClassLabels,
-                     SleepTrendError, ZeroVariance)
+from .errors import ConfigError, DataError, SingleClassLabels, ZeroVariance
 from .labels import Label
 from .metrics import confusion, median_range, report, roc_auc
 from .recording import (derive_bipolar, epoch_labels, read_annotations,
@@ -393,7 +392,8 @@ def cmd_crossval(cfg: dict, args) -> int:
     by_id = {s.subject_id: s for s in subjects}
     for fold in folds:
         subject = by_id[fold.held_out_subject]
-        trace, dqs = sst.build_trend(fold.predictions, sst_cfg)
+        trace = sst.compute_sst(fold.predictions, sst_cfg)
+        dqs = sst.detect_dqs(trace)
         reference = _reference_labels(subject, truths[subject.subject_id])
         metric_rows.extend(_fold_rows(subject.subject_id, reference,
                                       fold.predictions, trace,
@@ -440,7 +440,8 @@ def cmd_infer(cfg: dict, args) -> int:
                 _pairs(cfg), _section(cfg, "preprocess"),
                 _section(cfg, "artifact"), raw_first=first_aeeg))
         predictions = {label: probs for _, label, probs in scored}
-        trace, dqs = sst.build_trend(predictions, sst_cfg)
+        trace = sst.compute_sst(predictions, sst_cfg)
+        dqs = sst.detect_dqs(trace)
 
         tracks = pipeline.scorer_tracks(recording_path.parent,
                                         recording_path.stem)
@@ -566,9 +567,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except SleepTrendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4

@@ -66,8 +66,8 @@ class PreprocessReport:
 
 
 def design_butter_bandpass(low_hz: float, high_hz: float,
-                           order: int = PreprocessConfig.order,
-                           fs: float = 256.0) -> FilterSpec:
+                           order: int = PreprocessConfig.order, *,
+                           fs: float) -> FilterSpec:
     """Design the band-pass filter for one sampling rate.
 
     Raises ConfigError for band edges out of order, and NyquistViolation

@@ -249,25 +249,6 @@ def count_params(model: Model) -> int:
     return total
 
 
-def count_spec_params(specs: Sequence[LayerSpec],
-                      in_channels: int = 1) -> int:
-    """Closed-form trainable count from the layer table alone. Only the
-    channel (or feature) width matters, so no input length is needed."""
-    width = in_channels
-    total = 0
-    for spec in specs:
-        if spec.kind == "conv1d":
-            total += spec.out_channels * width * spec.kernel \
-                + spec.out_channels
-            width = spec.out_channels
-        elif spec.kind == "batchnorm":
-            total += 2 * width
-        elif spec.kind == "dense":
-            total += spec.units * width + spec.units
-            width = spec.units
-    return total
-
-
 def _tap_span(s: int, length: int) -> tuple[int, int]:
     """The output positions [lo, hi) whose input j + s lies inside the
     map; the rest read the zero padding."""

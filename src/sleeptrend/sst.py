@@ -25,84 +25,37 @@ from .errors import ConfigError, EvenWindow, LengthMismatch, ShapeMismatch
 from .labels import EPOCH_S, GAP, Label
 
 
-def _check_window(window: int, what: str = "window") -> None:
-    if window % 2 != 1 or window < 1:
-        raise EvenWindow(f"{what} {window} must be odd and positive")
-
-
-def _check_threshold(threshold: float, what: str = "threshold") -> None:
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"{what} {threshold} must sit in (0, 1)")
-
-
 @dataclass(frozen=True)
 class SstConfig:
     """How the trend is fused, smoothed and cut: `weights` maps channel
-    names to fusion weights (equal weights when None). Values that the
-    trend would reject are rejected here, before any work is done."""
+    names to fusion weights (equal weights when None). This is the one
+    place these settings are checked, before any work is done."""
 
     threshold: float = 0.5
     smooth_window: int = 5
     weights: dict[str, float] | None = None
 
     def __post_init__(self):
-        _check_threshold(self.threshold, "sst.threshold")
-        _check_window(self.smooth_window, "sst.smooth_window")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(f"sst.threshold {self.threshold} must sit in "
+                              f"(0, 1)")
+        if self.smooth_window % 2 != 1 or self.smooth_window < 1:
+            raise EvenWindow(f"sst.smooth_window {self.smooth_window} must "
+                             f"be odd and positive")
         for channel, weight in (self.weights or {}).items():
-            if not (math.isfinite(weight) and weight >= 0):
+            if not (math.isfinite(weight) and weight > 0):
                 raise ConfigError(f"sst.weights.{channel}: {weight} must be "
-                                  f"finite and non-negative")
+                                  f"finite and positive")
 
-    def channel_weights(self, channels: Sequence[str]) -> list[float] | None:
-        """The configured weights in `channels` order, or None for equal
-        weights; every channel needs one."""
+    def channel_weights(self, channels: Sequence[str]) -> list[float]:
+        """The fusion weight of each of `channels`, in order: equal
+        weights when none are configured, else every channel needs one."""
         if self.weights is None:
-            return None
+            return [1.0] * len(channels)
         missing = sorted(set(channels) - set(self.weights))
         if missing:
             raise ConfigError(f"sst.weights: missing channel(s) {missing}")
         return [self.weights[c] for c in channels]
-
-
-@dataclass(frozen=True)
-class ProbSeries:
-    """Per-epoch quiet-sleep probability for each channel, NaN where the
-    epoch was rejected."""
-
-    channels: tuple[str, ...]
-    values: np.ndarray  # (n_epochs, n_channels)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(self.channels):
-            raise ShapeMismatch(
-                f"values {values.shape} vs {len(self.channels)} channels")
-        present = values[np.isfinite(values)]
-        if present.size and (present.min() < 0.0 or present.max() > 1.0):
-            raise ShapeMismatch("probabilities must sit in [0, 1]")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_predictions(cls, predictions: Mapping[str, np.ndarray]):
-        channels = tuple(sorted(predictions))
-        values = np.column_stack([predictions[c] for c in channels])
-        return cls(channels=channels, values=values)
-
-    @property
-    def n_epochs(self) -> int:
-        return self.values.shape[0]
-
-
-def _norm_weights(probs: ProbSeries, weights) -> np.ndarray:
-    if weights is None:
-        return np.ones(len(probs.channels))
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(probs.channels),):
-        raise ConfigError(f"{w.size} weights for {len(probs.channels)} "
-                          f"channels")
-    if np.any(w < 0):
-        raise ConfigError("channel weights must be non-negative")
-    return w
 
 
 def decide(series: np.ndarray, threshold: float) -> list[str]:
@@ -112,22 +65,6 @@ def decide(series: np.ndarray, threshold: float) -> list[str]:
             else str(Label.QS) if value >= threshold
             else str(Label.AS)
             for value in np.asarray(series, dtype=float)]
-
-
-def fuse_channels(probs: ProbSeries, weights=None) -> np.ndarray:
-    """Weighted mean over the channels present at each epoch; the weights
-    are renormalized over whichever channels are present. All-missing
-    epochs stay NaN."""
-    w = _norm_weights(probs, weights)
-    present = np.isfinite(probs.values)
-    totals = present @ w
-    fused = np.full(probs.n_epochs, np.nan)
-    covered = totals > 0
-    filled = np.where(present, probs.values, 0.0)
-    fused[covered] = (filled @ w)[covered] / totals[covered]
-    if np.any(present.any(axis=1) & ~covered):
-        raise ConfigError("present channels carry zero total weight")
-    return fused
 
 
 def median_smooth(series: np.ndarray, window: int = SstConfig.smooth_window
@@ -144,7 +81,6 @@ def median_smooth(series: np.ndarray, window: int = SstConfig.smooth_window
     missing minute next to a state change could then flip a confidently
     classified neighbor.
     """
-    _check_window(window)
     series = np.asarray(series, dtype=float)
     n = len(series)
     out = np.full(n, np.nan)
@@ -190,25 +126,34 @@ class SstTrace:
         return len(self.p_mean)
 
 
-def compute_sst(probs: ProbSeries, weights=None,
-                window: int = SstConfig.smooth_window,
-                threshold: float = SstConfig.threshold) -> SstTrace:
-    """Fuse, band, smooth, and decide. The decision is taken on the
-    smoothed trend: quiet sleep when it reaches the threshold, Gap when
-    no channel survived artifact rejection."""
-    fused = fuse_channels(probs, weights)
-    present = np.isfinite(probs.values)
-    p_min = np.full(probs.n_epochs, np.nan)
-    p_max = np.full(probs.n_epochs, np.nan)
+def compute_sst(predictions: Mapping[str, np.ndarray],
+                cfg: SstConfig = SstConfig()) -> SstTrace:
+    """Fuse, band, smooth, and decide. The channels are taken in name
+    order, and the fused trend is their weighted mean over the channels
+    present at each epoch, the weights renormalized over those present.
+    The decision is taken on the smoothed trend: quiet sleep when it
+    reaches the threshold, Gap when no channel survived artifact
+    rejection."""
+    channels = sorted(predictions)
+    values = np.asarray(np.column_stack([predictions[c] for c in channels]),
+                        dtype=float)
+    present = np.isfinite(values)
+    if np.any(values[present] < 0.0) or np.any(values[present] > 1.0):
+        raise ShapeMismatch("probabilities must sit in [0, 1]")
+    weights = np.asarray(cfg.channel_weights(channels), dtype=float)
+    totals = present @ weights
     any_present = present.any(axis=1)
-    if probs.values.size:
-        with np.errstate(invalid="ignore"):
-            p_min[any_present] = np.nanmin(probs.values[any_present], axis=1)
-            p_max[any_present] = np.nanmax(probs.values[any_present], axis=1)
-    smoothed = median_smooth(fused, window)
+    filled = np.where(present, values, 0.0)
+    fused = np.full(len(values), np.nan)
+    fused[any_present] = (filled @ weights)[any_present] / totals[any_present]
+    p_min = np.full(len(values), np.nan)
+    p_max = np.full(len(values), np.nan)
+    p_min[any_present] = np.nanmin(values[any_present], axis=1)
+    p_max[any_present] = np.nanmax(values[any_present], axis=1)
+    smoothed = median_smooth(fused, cfg.smooth_window)
     return SstTrace(p_mean=fused, p_min=p_min, p_max=p_max,
                     p_smoothed=smoothed,
-                    decisions=tuple(decide(smoothed, threshold)))
+                    decisions=tuple(decide(smoothed, cfg.threshold)))
 
 
 @dataclass(frozen=True)
@@ -236,25 +181,11 @@ def _runs(mask: Sequence[bool]) -> list[tuple[int, int]]:
     return runs
 
 
-def detect_dqs(trace: SstTrace,
-               threshold: float = SstConfig.threshold) -> list[QsInterval]:
-    """Maximal runs of smoothed probability at or above the threshold.
-    Gaps always terminate a run."""
-    _check_threshold(threshold)
-    hits = [d == str(Label.QS) for d in decide(trace.p_smoothed, threshold)]
+def detect_dqs(trace: SstTrace) -> list[QsInterval]:
+    """Maximal runs of quiet-sleep decisions. Gaps always terminate a
+    run."""
+    hits = [d == str(Label.QS) for d in trace.decisions]
     return [QsInterval(a, b) for a, b in _runs(hits)]
-
-
-def build_trend(predictions: Mapping[str, np.ndarray],
-                cfg: SstConfig = SstConfig(),
-                ) -> tuple[SstTrace, list[QsInterval]]:
-    """The trend of per-channel predictions and its quiet-sleep
-    intervals. Configured weights are matched to channels by name, and
-    every predicted channel needs one."""
-    probs = ProbSeries.from_predictions(predictions)
-    trace = compute_sst(probs, weights=cfg.channel_weights(probs.channels),
-                        window=cfg.smooth_window, threshold=cfg.threshold)
-    return trace, detect_dqs(trace, cfg.threshold)
 
 
 # samples of moving average per block of compute_aeeg, rounded down to
@@ -262,8 +193,8 @@ def build_trend(predictions: Mapping[str, np.ndarray],
 AEEG_BLOCK = 1 << 16
 
 
-def compute_aeeg(samples: np.ndarray, fs: float = dsp.TARGET_FS,
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def compute_aeeg(samples: np.ndarray,
+                 fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude-integrated trend: band-pass 2-15 Hz, rectify, 0.5 s
     moving average, then the 10th and 90th percentile per 1-minute epoch.
     Returns (lower, upper) in µV; the trailing partial minute is dropped.

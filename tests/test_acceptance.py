@@ -238,9 +238,7 @@ def loso_run():
     folds = loso(subjects, TrainConfig(max_epochs=MAX_EPOCHS, seed=0),
                  train_channels=list(TRAIN_CHANNELS))
     elapsed = time.time() - start
-    traces = {fold.held_out_subject:
-              sst.compute_sst(sst.ProbSeries.from_predictions(
-                  fold.predictions))
+    traces = {fold.held_out_subject: sst.compute_sst(fold.predictions)
               for fold in folds}
     return {"subjects": {s.subject_id: s for s in subjects},
             "truths": truths, "folds": folds, "traces": traces,
@@ -377,7 +375,7 @@ def test_criterion_11_sst_structural_contract(loso_run):
         assert gaps == all_rejected
         n_gaps += sum(gaps)
 
-        intervals = sst.detect_dqs(trace, THRESHOLD)
+        intervals = sst.detect_dqs(trace)
         for iv in intervals:
             assert not any(gaps[iv.start_epoch:iv.end_epoch])
         ends = {iv.end_epoch for iv in intervals}

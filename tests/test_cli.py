@@ -138,8 +138,14 @@ class TestConfigSchema:
 
     def test_readme_reference_matches_schema(self):
         doc = readme_reference()
-        cli.validate_config(doc)
+        validated = cli.validate_config(doc)
         assert dotted_keys(doc) == dotted_keys(cli.SCHEMA)
+        # every section value shown is its dataclass default, except
+        # sst.weights: an example, whose default None means equal weights
+        for name, cls in cli.SECTIONS.items():
+            for key, value in validated[name].items():
+                if f"{name}.{key}" != "sst.weights":
+                    assert value == getattr(cls(), key), f"{name}.{key}"
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
@@ -319,6 +325,8 @@ class TestCrossvalCommand:
         ({"threshold": 1.0}, "sst.threshold 1.0"),
         ({"weights": {"F3-P3": -1.0}}, "sst.weights.F3-P3"),
         ({"weights": {"F3-P3": 1.0}}, "sst.weights: missing channel"),
+        ({"weights": {"F3-P3": 0.0, "F4-P4": 1.0, "F3-F4": 1.0,
+                      "P3-P4": 1.0}}, "sst.weights.F3-P3: 0.0"),
     ])
     def test_bad_sst_section_exits_2_before_training(
             self, data_dir, tmp_path, capsys, sst_section, message):
@@ -353,6 +361,16 @@ class TestCrossvalCommand:
 
 
 class TestInferCommand:
+    def test_zero_weight_exits_2_before_reading(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"sst": {"weights": {"F3-P3": 0.0}}})
+        out = tmp_path / "out"
+        assert cli.main(["infer", "--config", cfg,
+                         "--checkpoint", str(tmp_path / "none.json"),
+                         "--recording", str(tmp_path / "none.edf"),
+                         "--out", str(out)]) == 2
+        assert "sst.weights.F3-P3: 0.0" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_trend_outputs(self, crossval_dir, data_dir, tmp_path):
         out = tmp_path / "out"
         code = cli.main([
@@ -408,7 +426,8 @@ def serial_infer(checkpoint, recording_path, out):
     predictions = {channel: training.infer_channel(model, x, valid,
                                                    batch=256)
                    for channel, (x, valid) in epochs.items()}
-    trace, dqs = sst.build_trend(predictions)
+    trace = sst.compute_sst(predictions)
+    dqs = sst.detect_dqs(trace)
     first = derive_bipolar(recording, pipeline.BIPOLAR_PAIRS[:1]).channels[0]
     aeeg = sst.compute_aeeg(first.samples, fs=first.fs)
     strips = {name: epoch_labels(track, len(trace))

@@ -79,14 +79,6 @@ class TestBuild:
                 assert np.array_equal(l1[name], l2[name])
         assert not np.array_equal(m1.params[0]["w"], m3.params[0]["w"])
 
-    def test_count_from_specs_alone(self):
-        assert nn.count_spec_params([]) == 0
-        assert nn.count_spec_params(
-            [nn.LayerSpec("dense", units=2)], in_channels=24) == 50
-        assert nn.count_spec_params(
-            [nn.LayerSpec("conv1d", out_channels=8, kernel=3)]) == 32
-        assert nn.count_spec_params(nn.reference_architecture()) == 5082
-
     @pytest.mark.parametrize("specs,message", [
         ([nn.LayerSpec("conv1d", out_channels=4, kernel=4),
           nn.LayerSpec("global_avg_pool"),

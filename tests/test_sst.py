@@ -3,6 +3,7 @@ with gaps, dichotomic interval detection, the amplitude-integrated
 companion trend against a rectified-sine oracle, and SVG determinism."""
 
 import gc
+import hashlib
 import warnings
 
 import numpy as np
@@ -15,68 +16,76 @@ from sleeptrend import sst
 from sleeptrend.dsp import design_butter_bandpass, filter_zero_phase
 from sleeptrend.errors import ConfigError, EvenWindow, ShapeMismatch
 from sleeptrend.labels import GAP, Label
-from sleeptrend.sst import (ProbSeries, QsInterval, SstConfig, SstTrace,
-                            build_trend, compute_aeeg, compute_sst, decide,
-                            detect_dqs, fuse_channels, median_smooth,
+from sleeptrend.sst import (QsInterval, SstConfig, SstTrace, compute_aeeg,
+                            compute_sst, decide, detect_dqs, median_smooth,
                             read_sst_csv, render_svg, write_dqs_csv,
                             write_sst_csv)
 
 NAN = float("nan")
 
 
-def series(rows, channels=None):
+def series(rows):
+    """Predictions for channels C0, C1, ... from an (epochs, channels)
+    table."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    names = channels or tuple(f"C{i}" for i in range(rows.shape[1]))
-    return ProbSeries(channels=tuple(names), values=rows)
+    return {f"C{i}": rows[:, i] for i in range(rows.shape[1])}
+
+
+def fuse(rows, weights=None):
+    """The fused trend of `rows`, with `weights` in channel order."""
+    cfg = SstConfig(weights=None if weights is None else
+                    {f"C{i}": w for i, w in enumerate(weights)})
+    return compute_sst(series(rows), cfg).p_mean
 
 
 class TestFuse:
     def test_uniform_mean(self):
-        fused = fuse_channels(series([[0.6, 0.7, 0.8, 0.9]]))
+        fused = fuse([[0.6, 0.7, 0.8, 0.9]])
         assert fused[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_single_channel_identity(self):
-        fused = fuse_channels(series([[0.3], [0.8]]))
+        fused = fuse([[0.3], [0.8]])
         assert fused.tolist() == [0.3, 0.8]
 
     def test_missing_channels_renormalize(self):
-        fused = fuse_channels(series([[0.9, NAN, 0.5, NAN]]))
+        fused = fuse([[0.9, NAN, 0.5, NAN]])
         assert fused[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_all_missing_epoch_stays_nan(self):
-        fused = fuse_channels(series([[NAN, NAN], [0.5, 0.7]]))
+        fused = fuse([[NAN, NAN], [0.5, 0.7]])
         assert np.isnan(fused[0]) and fused[1] == pytest.approx(0.6)
 
     def test_explicit_weights(self):
-        fused = fuse_channels(series([[0.9, 0.3]]), weights=[2.0, 1.0])
+        fused = fuse([[0.9, 0.3]], weights=[2.0, 1.0])
         assert fused[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_weights_renormalize_over_present(self):
-        fused = fuse_channels(series([[NAN, 0.4, 0.8]]),
-                              weights=[5.0, 1.0, 3.0])
+        fused = fuse([[NAN, 0.4, 0.8]], weights=[5.0, 1.0, 3.0])
         assert fused[0] == pytest.approx((0.4 + 3 * 0.8) / 4.0, abs=1e-12)
 
     def test_zero_weight_over_present_rejected(self):
-        with pytest.raises(ConfigError, match="zero total weight"):
-            fuse_channels(series([[0.9, NAN]]), weights=[0.0, 1.0])
+        # a zero weight would leave an epoch where only that channel is
+        # present without a trend; it is refused before any fusion
+        with pytest.raises(ConfigError, match=r"sst\.weights\.C0"):
+            fuse([[0.9, NAN]], weights=[0.0, 1.0])
 
     @pytest.mark.parametrize("weights", [[1.0], [1.0, -0.5]])
     def test_bad_weights_rejected(self, weights):
         with pytest.raises(ConfigError):
-            fuse_channels(series([[0.5, 0.5]]), weights=weights)
+            fuse([[0.5, 0.5]], weights=weights)
 
     def test_permuting_channels_preserves_fusion(self):
         rng = np.random.default_rng(0)
         values = rng.random((20, 4))
         values[rng.random((20, 4)) < 0.2] = np.nan
-        base = fuse_channels(series(values))
+        base = fuse(values)
         perm = [2, 0, 3, 1]
-        shuffled = fuse_channels(series(values[:, perm]))
+        shuffled = fuse(values[:, perm])
         assert np.allclose(base, shuffled, equal_nan=True)
 
     def test_probabilities_validated(self):
         with pytest.raises(ShapeMismatch):
-            series([[1.2, 0.5]])
+            fuse([[1.2, 0.5]])
 
 
 class TestMedianSmooth:
@@ -131,8 +140,10 @@ class TestMedianSmooth:
 
     @pytest.mark.parametrize("window", [0, 2, 4])
     def test_even_or_empty_window_rejected(self, window):
-        with pytest.raises(EvenWindow):
-            median_smooth(np.zeros(4), window=window)
+        # the window is checked once, when the config is built, so
+        # median_smooth is only ever given an odd positive one
+        with pytest.raises(EvenWindow, match=r"sst\.smooth_window"):
+            SstConfig(smooth_window=window)
 
     @given(st.lists(st.one_of(st.floats(0, 1), st.none()), min_size=1,
                     max_size=40),
@@ -171,7 +182,8 @@ class TestComputeSst:
         assert trace.decisions[0] == str(Label.QS)
 
     def test_threshold_is_inclusive(self):
-        trace = compute_sst(series([[0.5], [0.499]]), window=1)
+        trace = compute_sst(series([[0.5], [0.499]]),
+                            SstConfig(smooth_window=1))
         assert trace.decisions == (str(Label.QS), str(Label.AS))
 
     def test_band_brackets_mean_on_random_inputs(self):
@@ -194,13 +206,11 @@ class TestComputeSst:
 
 
 class TestDetectDqs:
-    def trace_from(self, smoothed):
+    def trace_from(self, smoothed, threshold=0.5):
         smoothed = np.asarray(smoothed, dtype=float)
-        decisions = tuple(
-            GAP if not np.isfinite(v) else
-            str(Label.QS) if v >= 0.5 else str(Label.AS) for v in smoothed)
         return SstTrace(p_mean=smoothed, p_min=smoothed, p_max=smoothed,
-                        p_smoothed=smoothed, decisions=decisions)
+                        p_smoothed=smoothed,
+                        decisions=tuple(decide(smoothed, threshold)))
 
     def test_single_block(self):
         intervals = detect_dqs(self.trace_from([0.8] * 10))
@@ -214,33 +224,34 @@ class TestDetectDqs:
                                                + [0.8] * 4))
         assert intervals == [QsInterval(0, 5), QsInterval(6, 10)]
 
-    def test_threshold_validated(self):
-        trace = self.trace_from([0.5])
-        for bad in (0.0, 1.0, -0.2):
-            with pytest.raises(ConfigError):
-                detect_dqs(trace, threshold=bad)
+    def test_reads_the_trace_decisions(self):
+        # the intervals follow the decisions the trace was built with,
+        # not a second threshold applied to p_smoothed
+        trace = self.trace_from([0.45, 0.45, 0.8, 0.45], threshold=0.4)
+        assert detect_dqs(trace) == [QsInterval(0, 4)]
 
     @given(st.lists(st.one_of(st.floats(0, 1), st.none()), min_size=1,
                     max_size=60))
     @settings(max_examples=60, deadline=None)
     def test_intervals_shrink_as_threshold_rises(self, values):
-        trace = self.trace_from([np.nan if v is None else v
-                                 for v in values])
+        smoothed = [np.nan if v is None else v for v in values]
 
         def covered(threshold):
             out = set()
-            for qs in detect_dqs(trace, threshold):
+            for qs in detect_dqs(self.trace_from(smoothed, threshold)):
                 out.update(range(qs.start_epoch, qs.end_epoch))
             return out
 
         low, high = covered(0.3), covered(0.7)
         assert high <= low
-        expected = {i for i, v in enumerate(trace.p_smoothed)
+        expected = {i for i, v in enumerate(smoothed)
                     if np.isfinite(v) and v >= 0.3}
         assert low == expected
 
 
 class TestBuildTrend:
+    """The trend of named channel predictions under a config."""
+
     PREDICTIONS = {"B": np.array([0.9, 0.2, NAN, 0.7]),
                    "A": np.array([0.1, 0.4, NAN, 0.8])}
 
@@ -251,17 +262,17 @@ class TestBuildTrend:
     def test_weights_align_by_channel_name(self):
         cfg = SstConfig(threshold=0.4, smooth_window=3,
                         weights={"B": 3.0, "A": 1.0})
-        trace, dqs = build_trend(self.PREDICTIONS, cfg)
+        trace = compute_sst(self.PREDICTIONS, cfg)
         # channels sort to (A, B), so the weights line up as [1, 3]
-        expected = compute_sst(ProbSeries.from_predictions(self.PREDICTIONS),
-                               weights=[1.0, 3.0], window=3, threshold=0.4)
-        np.testing.assert_array_equal(trace.p_mean, expected.p_mean)
-        assert trace.decisions == expected.decisions
-        assert dqs == detect_dqs(expected, 0.4)
+        expected = (1.0 * self.PREDICTIONS["A"]
+                    + 3.0 * self.PREDICTIONS["B"]) / 4.0
+        np.testing.assert_allclose(trace.p_mean, expected, rtol=1e-15)
+        assert trace.decisions == tuple(decide(median_smooth(expected, 3),
+                                               0.4))
 
     def test_missing_weight_is_a_config_error(self):
         with pytest.raises(ConfigError, match=r"sst\.weights.*'B'"):
-            build_trend(self.PREDICTIONS, SstConfig(weights={"A": 1.0}))
+            compute_sst(self.PREDICTIONS, SstConfig(weights={"A": 1.0}))
 
 
 class TestSstConfig:
@@ -273,15 +284,16 @@ class TestSstConfig:
         ({"threshold": float("nan")}, ConfigError),
         ({"weights": {"A": -1.0}}, ConfigError),
         ({"weights": {"A": float("inf")}}, ConfigError),
+        ({"weights": {"A": 0.0}}, ConfigError),
     ])
     def test_rejected_when_built(self, kwargs, error):
         with pytest.raises(error, match=r"sst\."):
             SstConfig(**kwargs)
 
     def test_channel_weights_follow_the_given_order(self):
-        cfg = SstConfig(weights={"B": 3.0, "A": 1.0, "C": 0.0})
+        cfg = SstConfig(weights={"B": 3.0, "A": 1.0, "C": 0.5})
         assert cfg.channel_weights(["A", "B"]) == [1.0, 3.0]
-        assert SstConfig().channel_weights(["A", "B"]) is None
+        assert SstConfig().channel_weights(["A", "B"]) == [1.0, 1.0]
         with pytest.raises(ConfigError, match=r"missing .*\['D'\]"):
             cfg.channel_weights(["A", "D"])
 
@@ -461,13 +473,6 @@ class TestSvg:
         assert doc.startswith("<svg ") and doc.rstrip().endswith("</svg>")
         assert "<polyline" not in doc
 
-    def test_fixed_input_is_byte_identical(self):
-        trace = self.make_trace(np.linspace(0.1, 0.9, 120))
-        dqs = detect_dqs(trace)
-        a = render_svg(trace, dqs, annotations={"e1": trace.decisions})
-        b = render_svg(trace, dqs, annotations={"e1": trace.decisions})
-        assert a == b
-
     def test_gap_splits_polyline(self):
         trace = self.make_trace([0.8, 0.8, NAN, 0.8, 0.8])
         doc = render_svg(trace)
@@ -489,3 +494,54 @@ class TestSvg:
     def test_threshold_line_dashed(self):
         doc = render_svg(self.make_trace([0.6] * 10))
         assert "stroke-dasharray" in doc
+
+
+class TestPinnedOutputs:
+    """The trend's files for fixed predictions, pinned by SHA-256: four
+    channels with explicit weights and a non-default threshold and
+    window, a gap on one channel, and a minute every channel rejected.
+    Every value is a ratio of small integers, so the inputs are exact."""
+
+    N = 90
+    CONFIG = SstConfig(threshold=0.45, smooth_window=3,
+                       weights={"F3-P3": 1.0, "F4-P4": 2.0, "F3-F4": 0.5,
+                                "P3-P4": 1.5})
+    SHA256 = {
+        "sst.csv": "e70cde72d3de8020b991f370649158df"
+                   "3441b2daf687352f2b77f05ee159e380",
+        "dqs.csv": "acf835aea1323c800132503b12b2eb07"
+                   "f6efa4cb67f3286e10b1a3da7b0dd409",
+        "sst.svg": "ed8e3ec7b755260ac4e3f8515c7c1a75"
+                   "c7c53dcef6cff754d80676275871554e",
+    }
+
+    def predictions(self):
+        i = np.arange(self.N)
+        base = np.abs(i % 40 - 20) / 20.0
+        # insertion order is not name order, so the channels must be
+        # sorted before the weights line up
+        out = {name: np.clip(base + ((i * (3 + c)) % 7 - 3) / 50.0, 0, 1)
+               for c, name in enumerate(("P3-P4", "F4-P4", "F3-P3",
+                                         "F3-F4"))}
+        out["F3-F4"][20:30] = np.nan
+        for p in out.values():
+            p[45] = np.nan
+        return out
+
+    def test_outputs_match_pinned_hashes(self, tmp_path):
+        trace = compute_sst(self.predictions(), self.CONFIG)
+        dqs = detect_dqs(trace)
+        i = np.arange(self.N)
+        scorer = [str(Label.EXCLUDED) if k in (44, 45, 46)
+                  else str(Label.QS) if (k // 15) % 2 else str(Label.AS)
+                  for k in range(self.N)]
+        lower = 3.0 + (i % 11) / 2.0
+        aeeg = (lower, lower + 10.0 + (i % 13) * 4.0)
+        write_sst_csv(trace, tmp_path / "sst.csv")
+        write_dqs_csv(dqs, tmp_path / "dqs.csv")
+        (tmp_path / "sst.svg").write_text(render_svg(
+            trace, dqs, annotations={"e1": scorer}, aeeg=aeeg,
+            threshold=self.CONFIG.threshold))
+        assert len(dqs) > 1 and GAP in trace.decisions
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes())
+                .hexdigest() for name in self.SHA256} == self.SHA256
