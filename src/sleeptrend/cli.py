@@ -28,8 +28,8 @@ from .dsp import ArtifactConfig, PreprocessConfig
 from .errors import ConfigError, DataError, SingleClassLabels, ZeroVariance
 from .labels import Label
 from .metrics import confusion, median_range, report, roc_auc
-from .recording import (derive_bipolar, epoch_labels, read_annotations,
-                        read_edf)
+from .recording import (bipolar_label, derive_bipolar, epoch_labels,
+                        read_annotations, read_edf)
 from .training import TrainConfig
 
 
@@ -74,6 +74,8 @@ def _v_channel_pairs(value, path: str) -> tuple[tuple[str, str], ...]:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not all(isinstance(p, str) for p in pair)):
             _fail(f"{path}[{i}]", "expected an [anode, cathode] string pair")
+        if tuple(pair) in pairs:
+            _fail(f"{path}[{i}]", f"repeats the pair {list(pair)}")
         pairs.append((pair[0], pair[1]))
     return tuple(pairs)
 
@@ -181,6 +183,14 @@ def _section(cfg: dict, name: str, **defaults):
 
 def _pairs(cfg: dict) -> tuple[tuple[str, str], ...]:
     return cfg.get("channel_pairs", pipeline.BIPOLAR_PAIRS)
+
+
+def _sst_section(cfg: dict) -> sst.SstConfig:
+    """The sst section. Each pair's channel is predicted and fused, so its
+    fusion weight is checked here, before any data is read."""
+    sst_cfg = _section(cfg, "sst")
+    sst_cfg.channel_weights([bipolar_label(a, b) for a, b in _pairs(cfg)])
+    return sst_cfg
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -374,15 +384,12 @@ def cmd_train(cfg: dict, args) -> int:
 
 def cmd_crossval(cfg: dict, args) -> int:
     out_dir = _out_dir(cfg, args)
-    sst_cfg = _section(cfg, "sst")
+    sst_cfg = _sst_section(cfg)
     train_cfg = _section(cfg, "train",
                          early_stop_patience=training.LOSO_PATIENCE)
     subjects, truths = pipeline.load_cohort(
         _data_dir(cfg), _pairs(cfg), _section(cfg, "preprocess"),
         _section(cfg, "artifact"))
-    # every held-out channel is predicted, so each needs a fusion weight
-    sst_cfg.channel_weights(sorted({channel for subject in subjects
-                                    for channel in subject.epochs}))
     folds = training.loso(subjects, train_cfg, out_dir=out_dir,
                           jobs=cfg.get("jobs", 1),
                           train_channels=cfg.get("train_channels"))
@@ -424,7 +431,7 @@ def cmd_infer(cfg: dict, args) -> int:
     # rest, so a second BLAS thread would only spin on a busy CPU.
     with threads.blas_limited(1):
         out_dir = _out_dir(cfg, args)
-        sst_cfg = _section(cfg, "sst")
+        sst_cfg = _sst_section(cfg)
         model, _ = nn.load_checkpoint(args.checkpoint)
         recording_path = Path(args.recording)
         aeeg = None

@@ -24,26 +24,8 @@ _FILTER_BLOCK = 1 << 16  # samples per sosfilt call in filter_zero_phase
 
 
 @dataclass(frozen=True)
-class FilterSpec:
-    """A Butterworth band-pass realized as cascaded second-order sections.
-
-    `order` counts second-order sections per band edge: an order-4 design
-    rolls each edge off with 8 poles (16 overall), which keeps the stopband
-    under -30 dB by 45 Hz while the band edges stay at the half-power
-    (-3 dB) points of the single-pass response. Zero-phase application
-    squares the magnitude response.
-    """
-
-    low_hz: float
-    high_hz: float
-    order: int
-    fs: float
-    sos: np.ndarray
-
-
-@dataclass(frozen=True)
 class PreprocessConfig:
-    """The band-pass applied to every raw channel (see FilterSpec)."""
+    """The band-pass applied to every raw channel."""
 
     low_hz: float = 0.5
     high_hz: float = 30.0
@@ -67,8 +49,15 @@ class PreprocessReport:
 
 def design_butter_bandpass(low_hz: float, high_hz: float,
                            order: int = PreprocessConfig.order, *,
-                           fs: float) -> FilterSpec:
-    """Design the band-pass filter for one sampling rate.
+                           fs: float) -> np.ndarray:
+    """Design the band-pass filter for one sampling rate, as the array of
+    its cascaded second-order sections.
+
+    `order` counts second-order sections per band edge: an order-4 design
+    rolls each edge off with 8 poles (16 overall), which keeps the stopband
+    under -30 dB by 45 Hz while the band edges stay at the half-power
+    (-3 dB) points of the single-pass response. Zero-phase application
+    squares the magnitude response.
 
     Raises ConfigError for band edges out of order, and NyquistViolation
     (a DataError) when the band does not fit below the signal's fs/2. The
@@ -93,8 +82,7 @@ def design_butter_bandpass(low_hz: float, high_hz: float,
         if np.any(np.abs(poles) >= 1.0):
             raise ConfigError(
                 f"unstable design for band ({low_hz}, {high_hz}) at {fs} Hz")
-    return FilterSpec(low_hz=low_hz, high_hz=high_hz, order=order, fs=fs,
-                      sos=sos)
+    return sos
 
 
 def _settle_samples(sos: np.ndarray) -> int:
@@ -106,7 +94,7 @@ def _settle_samples(sos: np.ndarray) -> int:
     return int(math.ceil(math.log(1e-6) / math.log(radius)))
 
 
-def filter_zero_phase(x: np.ndarray, spec: FilterSpec,
+def filter_zero_phase(x: np.ndarray, sos: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Forward-backward filtering: zero phase, squared magnitude.
 
@@ -126,7 +114,7 @@ def filter_zero_phase(x: np.ndarray, spec: FilterSpec,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeMismatch(f"expected 1-D signal, got shape {x.shape}")
-    min_pad = 3 * (2 * len(spec.sos) + 1)
+    min_pad = 3 * (2 * len(sos) + 1)
     if x.size <= min_pad:
         raise TooShortSignal(
             f"{x.size} samples, zero-phase filtering needs > {min_pad}")
@@ -135,8 +123,8 @@ def filter_zero_phase(x: np.ndarray, spec: FilterSpec,
     elif out.shape != x.shape or out.dtype != np.float64:
         raise ShapeMismatch(f"out {out.dtype}{out.shape} for float64 signal "
                             f"of shape {x.shape}")
-    padlen = min(x.size - 1, max(min_pad, _settle_samples(spec.sos)))
-    sos, n = spec.sos, x.size
+    padlen = min(x.size - 1, max(min_pad, _settle_samples(sos)))
+    n = x.size
     zi = signal.sosfilt_zi(sos)
     # The even extension is x[padlen:0:-1] + x + x[-2:-(padlen + 2):-1];
     # the right pad's source is saved before `out` may overwrite it.
@@ -248,9 +236,9 @@ def preprocess_channel(samples: np.ndarray, fs_in: float, channel: str,
     if not np.isfinite(x).all():
         np.nan_to_num(x, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
 
-    spec = design_butter_bandpass(preprocess.low_hz, preprocess.high_hz,
-                                  order=preprocess.order, fs=fs_in)
-    filtered = filter_zero_phase(x, spec, out=x)
+    sos = design_butter_bandpass(preprocess.low_hz, preprocess.high_hz,
+                                 order=preprocess.order, fs=fs_in)
+    filtered = filter_zero_phase(x, sos, out=x)
     at_target = resample(filtered, fs_in, TARGET_FS)
 
     flags = np.ones(n_windows, dtype=bool)

@@ -47,9 +47,9 @@ def analytic_envelope(samples: np.ndarray, fs: float) -> np.ndarray:
     if len(samples) < 64:
         raise TooShortSignal(f"{len(samples)} samples; envelope needs "
                              f"at least 64")
-    spec = dsp.design_butter_bandpass(BAND_LOW_HZ, BAND_HIGH_HZ,
-                                      order=FILTER_ORDER, fs=fs)
-    filtered = dsp.filter_zero_phase(samples, spec)
+    sos = dsp.design_butter_bandpass(BAND_LOW_HZ, BAND_HIGH_HZ,
+                                     order=FILTER_ORDER, fs=fs)
+    filtered = dsp.filter_zero_phase(samples, sos)
     return np.abs(analytic_signal(filtered))
 
 

@@ -363,6 +363,11 @@ def check_pairs(rec: Recording, pairs: Sequence[tuple[str, str]]) -> None:
                 f"cannot derive {a}-{b}: rates {ca.fs} vs {cb.fs} differ")
 
 
+def bipolar_label(anode: str, cathode: str) -> str:
+    """The name of the channel derived as anode minus cathode."""
+    return f"{anode}-{cathode}"
+
+
 def derive_bipolar(rec: Recording, pairs: Sequence[tuple[str, str]],
                    out: Sequence[np.ndarray] | None = None) -> Recording:
     """Build bipolar derivations (anode minus cathode) from referential
@@ -390,7 +395,7 @@ def derive_bipolar(rec: Recording, pairs: Sequence[tuple[str, str]],
         for start in range(0, buf.size, block):
             part = ca.microvolts_into(buf[start:start + block], start)
             part -= cb.microvolts_into(scratch[:part.size], start)
-        derived.append(ChannelSignal(label=f"{a}-{b}", fs=ca.fs,
+        derived.append(ChannelSignal(label=bipolar_label(a, b), fs=ca.fs,
                                      samples=buf))
     return Recording(subject_id=rec.subject_id, duration_s=rec.duration_s,
                      channels=derived)
@@ -399,11 +404,9 @@ def derive_bipolar(rec: Recording, pairs: Sequence[tuple[str, str]],
 @dataclass(frozen=True)
 class AnnotationTrack:
     """Quiet-sleep intervals [onset, onset+duration) in seconds, sorted and
-    non-overlapping, annotated at 1 s resolution. Everything outside the
-    intervals is active sleep."""
+    non-overlapping. Everything outside the intervals is active sleep."""
 
     intervals: tuple[tuple[float, float], ...]
-    resolution_s: float = 1.0
 
     def __post_init__(self):
         prev_end = None
@@ -417,9 +420,9 @@ class AnnotationTrack:
             prev_end = onset + duration
 
     @classmethod
-    def from_rows(cls, rows: Iterable[tuple[float, float]],
-                  resolution_s: float = 1.0) -> "AnnotationTrack":
-        return cls(intervals=tuple(sorted(rows)), resolution_s=resolution_s)
+    def from_rows(cls, rows: Iterable[tuple[float, float]]
+                  ) -> "AnnotationTrack":
+        return cls(intervals=tuple(sorted(rows)))
 
 
 def read_annotations(path: str | Path) -> AnnotationTrack:
@@ -452,15 +455,14 @@ def write_annotations(track: AnnotationTrack, path: str | Path) -> None:
             writer.writerow([f"{onset:g}", f"{duration:g}", Label.QS.value])
 
 
-def epoch_labels(track: AnnotationTrack, n_epochs: int,
-                 epoch_s: float = EPOCH_S) -> list[Label]:
+def epoch_labels(track: AnnotationTrack, n_epochs: int) -> list[Label]:
     """Label each epoch: QS when fully inside a quiet-sleep interval, AS
     when fully outside all of them, Excluded when an epoch straddles a
     state boundary."""
     labels = []
     for i in range(n_epochs):
-        start = i * epoch_s
-        end = start + epoch_s
+        start = i * EPOCH_S
+        end = start + EPOCH_S
         state = Label.AS
         for onset, duration in track.intervals:
             stop = onset + duration

@@ -108,7 +108,6 @@ class SstTrace:
     p_max: np.ndarray
     p_smoothed: np.ndarray
     decisions: tuple[str, ...]
-    epoch_len_s: float = EPOCH_S
 
     def __post_init__(self):
         n = len(self.p_mean)
@@ -214,8 +213,8 @@ def compute_aeeg(samples: np.ndarray,
     other dtype is first converted to a new float64 array.
     """
     samples = np.asarray(samples, dtype=float)
-    spec = dsp.design_butter_bandpass(2.0, 15.0, order=2, fs=fs)
-    rectified = dsp.filter_zero_phase(samples, spec, out=samples)
+    sos = dsp.design_butter_bandpass(2.0, 15.0, order=2, fs=fs)
+    rectified = dsp.filter_zero_phase(samples, sos, out=samples)
     np.abs(rectified, out=rectified)
     win = max(1, int(round(0.5 * fs)))
     kernel = np.ones(win) / win
@@ -249,7 +248,7 @@ def write_sst_csv(trace: SstTrace, path: str | Path) -> None:
                          "p_max", "p_smoothed", "decision"])
         for i in range(len(trace)):
             writer.writerow([
-                i, repr(i * trace.epoch_len_s),
+                i, repr(i * EPOCH_S),
                 repr(float(trace.p_mean[i])), repr(float(trace.p_min[i])),
                 repr(float(trace.p_max[i])),
                 repr(float(trace.p_smoothed[i])), trace.decisions[i]])
@@ -266,16 +265,15 @@ def read_sst_csv(path: str | Path) -> SstTrace:
         decisions=tuple(r["decision"] for r in rows))
 
 
-def write_dqs_csv(intervals: Sequence[QsInterval], path: str | Path,
-                  epoch_len_s: float = EPOCH_S) -> None:
+def write_dqs_csv(intervals: Sequence[QsInterval], path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["start_s", "end_s"])
         for qs in intervals:
-            writer.writerow([repr(qs.start_epoch * epoch_len_s),
-                             repr(qs.end_epoch * epoch_len_s)])
+            writer.writerow([repr(qs.start_epoch * EPOCH_S),
+                             repr(qs.end_epoch * EPOCH_S)])
 
 
 # SVG rendering -------------------------------------------------------------
@@ -318,7 +316,7 @@ def render_svg(trace: SstTrace, dqs: Sequence[QsInterval] = (),
     threshold line, dichotomic QS bars, optional annotation strips, and
     an optional semilogarithmic companion trend below."""
     n = len(trace)
-    hours = n * trace.epoch_len_s / 3600.0
+    hours = n * EPOCH_S / 3600.0
     plot_w = max(PX_PER_HOUR * hours, 8.0)
     width = MARGIN_LEFT + plot_w + MARGIN_RIGHT
 
@@ -343,7 +341,7 @@ def render_svg(trace: SstTrace, dqs: Sequence[QsInterval] = (),
             f'<text x="{_fmt(MARGIN_LEFT - 6)}" y="{_fmt(y_at(p) + 3)}" '
             f'text-anchor="end">{_fmt(p)}</text>')
     for h in range(int(hours) + 1):
-        xh = x_at(h * 3600.0 / trace.epoch_len_s)
+        xh = x_at(h * 3600.0 / EPOCH_S)
         parts.append(f'<text x="{_fmt(xh)}" y="{_fmt(axis_y + 10)}" '
                      f'text-anchor="middle">{h}h</text>')
     parts.append('</g>')

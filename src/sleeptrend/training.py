@@ -283,14 +283,24 @@ def write_history(history: History, path: str | Path) -> None:
             writer.writerow([i, repr(tr), repr(va), repr(lr)])
 
 
-def _mean_val_loss(model: nn.Model, x: np.ndarray, y: np.ndarray,
-                   batch: int = 256) -> float:
-    total = 0.0
-    for start in range(0, len(x), batch):
-        probs = nn.forward(model, x[start:start + batch]).probs
-        picked = probs[np.arange(len(probs)), y[start:start + batch]]
-        total += float(-np.log(np.clip(picked, 1e-12, None)).sum())
-    return total / len(x)
+# Epochs per forward pass of _score. A row's probabilities do not depend
+# on the batch (nn.forward), so this only sizes the working arrays: at 16
+# rows the largest feature map is 2 MB.
+INFER_BATCH = 16
+# Rows per float64 partial sum of the validation loss, the sums added in
+# order: this fixes the bits of History.val_loss, and so of early stopping.
+VAL_LOSS_CHUNK = 256
+
+
+def _score(model: nn.Model, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Class probabilities of the network inputs `x[rows]`, INFER_BATCH
+    rows per forward pass."""
+    probs = np.empty((len(rows), len(CLASSES)))
+    for start in range(0, len(rows), INFER_BATCH):
+        batch = rows[start:start + INFER_BATCH]
+        probs[start:start + len(batch)] = nn.forward(
+            model, x[batch], mode="infer").probs
+    return probs
 
 
 def train(dataset: Dataset, cfg: TrainConfig) -> tuple[nn.Model, History]:
@@ -310,8 +320,6 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[nn.Model, History]:
         raise DataError("inner validation split came out empty; dataset "
                         "too small to train")
     x, y = dataset_arrays(dataset)
-    x_train, y_train = x[train_idx], y[train_idx]
-    x_val, y_val = x[val_idx], y[val_idx]
 
     model = nn.build_model(nn.reference_architecture(), EPOCH_SAMPLES,
                            seed=cfg.seed)
@@ -328,22 +336,27 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[nn.Model, History]:
     best_params = None
 
     for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.permutation(len(x_train))
+        order = train_idx[shuffle_rng.permutation(len(train_idx))]
         epoch_cfg = replace(cfg, lr=schedule.lr)
         loss_sum = 0.0
         for start in range(0, len(order), cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
-            trace = nn.forward(model, x_train[rows], mode="train",
+            trace = nn.forward(model, x[rows], mode="train",
                                rng=dropout_rng)
-            loss_sum += nn.cross_entropy(trace.probs,
-                                         y_train[rows]) * len(rows)
-            grads = nn.backward(model, trace, y_train[rows])
+            loss_sum += nn.cross_entropy(trace.probs, y[rows]) * len(rows)
+            grads = nn.backward(model, trace, y[rows])
             for (i, name), state in states.items():
                 updated, states[(i, name)] = adam_step(
                     model.params[i][name], grads[i][name], state, epoch_cfg)
                 model.params[i][name][...] = updated
 
-        val_loss = _mean_val_loss(model, x_val, y_val)
+        picked = _score(model, x, val_idx)[np.arange(len(val_idx)),
+                                           y[val_idx]]
+        val_loss = 0.0
+        for start in range(0, len(picked), VAL_LOSS_CHUNK):
+            chunk = picked[start:start + VAL_LOSS_CHUNK]
+            val_loss += float(-np.log(np.clip(chunk, 1e-12, None)).sum())
+        val_loss /= len(picked)
         history.train_loss.append(loss_sum / len(order))
         history.val_loss.append(val_loss)
         history.lr.append(epoch_cfg.lr)
@@ -361,22 +374,13 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[nn.Model, History]:
     return model, history
 
 
-# Epochs per forward pass of infer_channel. A row's probabilities do not
-# depend on the batch (nn.forward), so this only sizes the working arrays:
-# at 16 rows the largest feature map is 2 MB.
-INFER_BATCH = 16
-
-
-def infer_channel(model: nn.Model, x: np.ndarray, valid: np.ndarray,
-                  batch: int = INFER_BATCH) -> np.ndarray:
+def infer_channel(model: nn.Model, x: np.ndarray,
+                  valid: np.ndarray) -> np.ndarray:
     """Per-epoch quiet-sleep probability for an (n_epochs, EPOCH_SAMPLES)
     array; epochs outside the validity mask come back NaN."""
     out = np.full(len(x), np.nan)
-    valid_rows = np.flatnonzero(valid)
-    for start in range(0, len(valid_rows), batch):
-        rows = valid_rows[start:start + batch]
-        probs = nn.forward(model, x[rows, None, :], mode="infer").probs
-        out[rows] = probs[:, CLASS_INDEX[Label.QS]]
+    rows = np.flatnonzero(valid)
+    out[rows] = _score(model, x[:, None, :], rows)[:, CLASS_INDEX[Label.QS]]
     return out
 
 

@@ -126,3 +126,16 @@ def max_grad_rel_err(analytic, numeric):
             denom = np.maximum(np.abs(a_arr) + np.abs(n_arr), 1e-7)
             worst = max(worst, float(np.max(np.abs(a_arr - n_arr) / denom)))
     return worst
+
+
+def score_in_batches(model, x, valid, batch):
+    """`training.infer_channel` written out as its own loop: the valid
+    rows of an (n_epochs, samples) array scored `batch` at a time."""
+    from sleeptrend import nn
+
+    out = np.full(len(x), np.nan)
+    rows = np.flatnonzero(valid)
+    for start in range(0, len(rows), batch):
+        part = rows[start:start + batch]
+        out[part] = nn.forward(model, x[part, None, :]).probs[:, 1]
+    return out

@@ -98,13 +98,13 @@ def test_criterion_02_parameter_count():
 # criterion 3: band-pass frequency response @256 Hz
 
 def test_criterion_03_bandpass_filter_contract():
-    spec = design_butter_bandpass(0.5, 30.0, fs=256.0, order=4)
+    sos = design_butter_bandpass(0.5, 30.0, fs=256.0, order=4)
 
     def db(f_hz):
-        return 20.0 * np.log10(sos_gain(spec.sos, f_hz, 256.0))
+        return 20.0 * np.log10(sos_gain(sos, f_hz, 256.0))
 
     for f in np.arange(2.0, 20.0 + 1e-9, 0.25):
-        assert sos_gain(spec.sos, f, 256.0) >= 0.9, f"droop at {f} Hz"
+        assert sos_gain(sos, f, 256.0) >= 0.9, f"droop at {f} Hz"
     assert db(0.5) == pytest.approx(-3.0, abs=0.5)
     assert db(30.0) == pytest.approx(-3.0, abs=0.5)
     assert db(45.0) <= -30.0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import relayout_edf
+from helpers import relayout_edf, score_in_batches
 from sleeptrend import cli, nn, pipeline, sst, threads, training
 from sleeptrend.errors import ConfigError
 from sleeptrend.recording import (ChannelSignal, Recording, derive_bipolar,
@@ -117,6 +117,10 @@ class TestConfigSchema:
     def test_channel_pairs_must_be_string_pairs(self):
         with pytest.raises(ConfigError, match=r"channel_pairs\[0\]"):
             cli.validate_config({"channel_pairs": [["F3", 4]]})
+        with pytest.raises(ConfigError, match=r"channel_pairs\[2\]: "
+                           r"repeats the pair \['F3', 'P3'\]"):
+            cli.validate_config({"channel_pairs": [
+                ["F3", "P3"], ["F4", "P4"], ["F3", "P3"]]})
 
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigError, match="train"):
@@ -339,6 +343,20 @@ class TestCrossvalCommand:
         assert not list(out.glob("fold_*"))
         assert message in capsys.readouterr().err
 
+    def test_weights_checked_before_the_cohort_is_read(
+            self, data_dir, tmp_path, monkeypatch, capsys):
+        loads = []
+        monkeypatch.setattr(pipeline, "load_cohort",
+                            lambda *args: loads.append(args))
+        cfg = write_config(tmp_path, {
+            "data_dir": str(data_dir), "train": SMALL_TRAIN,
+            "channel_pairs": [["F3", "P3"], ["F4", "P4"]],
+            "sst": {"weights": {"F3-P3": 1.0}}})
+        assert cli.main(["crossval", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "missing channel(s) ['F4-P4']" in capsys.readouterr().err
+        assert loads == []
+
     def test_patience_is_loso_default_unless_configured(
             self, data_dir, tmp_path, monkeypatch):
         seen = []
@@ -370,6 +388,30 @@ class TestInferCommand:
                          "--out", str(out)]) == 2
         assert "sst.weights.F3-P3: 0.0" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    def test_missing_weight_exits_2_before_reading(
+            self, crossval_dir, data_dir, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(name, function):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(cli, "read_edf", counted("read_edf",
+                                                     cli.read_edf))
+        monkeypatch.setattr(training, "infer_channel", counted(
+            "infer_channel", training.infer_channel))
+        cfg = write_config(tmp_path, {"sst": {"weights": {"F3-P3": 1.0}}})
+        assert cli.main([
+            "infer", "--config", cfg,
+            "--checkpoint", str(crossval_dir / "fold_s01.json"),
+            "--recording", str(data_dir / "s01.edf"),
+            "--out", str(tmp_path / "out")]) == 2
+        assert "sst.weights: missing channel(s) ['F3-F4', 'F4-P4', " \
+            "'P3-P4']" in capsys.readouterr().err
+        assert calls == []
 
     def test_trend_outputs(self, crossval_dir, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -423,8 +465,7 @@ def serial_infer(checkpoint, recording_path, out):
     model, _ = nn.load_checkpoint(checkpoint)
     recording = read_edf(recording_path, subject_id=recording_path.stem)
     epochs, _ = pipeline.preprocess_recording(recording)
-    predictions = {channel: training.infer_channel(model, x, valid,
-                                                   batch=256)
+    predictions = {channel: score_in_batches(model, x, valid, 256)
                    for channel, (x, valid) in epochs.items()}
     trace = sst.compute_sst(predictions)
     dqs = sst.detect_dqs(trace)

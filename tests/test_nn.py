@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from helpers import finite_diff_grads, max_grad_rel_err
+from helpers import (finite_diff_grads, max_grad_rel_err,
+                     score_in_batches)
 from sleeptrend import nn, threads, training
 from sleeptrend.dsp import EPOCH_SAMPLES
 from sleeptrend.errors import ChecksumMismatch, ConfigError, ShapeMismatch
@@ -693,8 +694,8 @@ def trained_like_model(seed):
 
 class TestBatchIndependence:
     """A row's probabilities do not depend on how many rows share its
-    batch, so `infer_channel`'s batch of 16 only sizes its feature
-    maps."""
+    batch, so the 16-row batches of `infer_channel` and of the
+    validation loss only size their feature maps."""
 
     def test_rows_score_alike_alone_and_in_batches(self):
         model = trained_like_model(seed=21)
@@ -716,11 +717,11 @@ class TestBatchIndependence:
             np.float32)
         valid = np.zeros(180, dtype=bool)
         valid[rng.choice(180, size=129, replace=False)] = True
-        at_64 = training.infer_channel(model, x, valid, batch=64)
-        at_256 = training.infer_channel(model, x, valid, batch=256)
-        assert np.array_equal(at_64, at_256, equal_nan=True)
-        assert np.array_equal(training.infer_channel(model, x, valid),
-                              at_256, equal_nan=True)
+        scored = training.infer_channel(model, x, valid)
+        for batch in (64, 256):
+            assert np.array_equal(
+                scored, score_in_batches(model, x, valid, batch),
+                equal_nan=True), batch
 
 
 @pytest.mark.skipif(threads.blas_threads() is None,

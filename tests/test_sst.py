@@ -326,8 +326,8 @@ class TestAeeg:
         # one percentile call over all minutes matches a call per minute
         x = 30.0 * np.random.default_rng(4).standard_normal(64 * 60 * 4 + 9)
         lower, upper = compute_aeeg(x.copy(), 64.0)
-        spec = design_butter_bandpass(2.0, 15.0, order=2, fs=64.0)
-        smooth = np.convolve(np.abs(filter_zero_phase(x, spec)),
+        sos = design_butter_bandpass(2.0, 15.0, order=2, fs=64.0)
+        smooth = np.convolve(np.abs(filter_zero_phase(x, sos)),
                              np.ones(32) / 32, mode="same")
         minutes = [smooth[i * 3840:(i + 1) * 3840] for i in range(4)]
         assert np.array_equal(lower, [np.percentile(m, 10) for m in minutes])
@@ -353,8 +353,8 @@ class TestAeeg:
 def reference_aeeg(samples, fs):
     """The aEEG in one pass: a full-length moving average, then every
     minute's percentiles in one call."""
-    spec = design_butter_bandpass(2.0, 15.0, order=2, fs=fs)
-    rectified = np.abs(filter_zero_phase(samples, spec))
+    sos = design_butter_bandpass(2.0, 15.0, order=2, fs=fs)
+    rectified = np.abs(filter_zero_phase(samples, sos))
     win = max(1, int(round(0.5 * fs)))
     smooth = np.convolve(rectified, np.ones(win) / win, mode="same")
     per_epoch = int(round(60 * fs))
@@ -399,8 +399,8 @@ class TestAeegBlocks:
 
     def test_float64_input_is_rectified_in_place(self):
         x = 25.0 * np.random.default_rng(31).standard_normal(256 * 150)
-        spec = design_butter_bandpass(2.0, 15.0, order=2, fs=256.0)
-        rectified = np.abs(filter_zero_phase(x, spec))
+        sos = design_butter_bandpass(2.0, 15.0, order=2, fs=256.0)
+        rectified = np.abs(filter_zero_phase(x, sos))
         compute_aeeg(x, 256.0)
         assert np.array_equal(x.view(np.int64), rectified.view(np.int64))
 

@@ -357,6 +357,23 @@ class TestTrain:
         assert np.array_equal(history.train_idx, train_idx)
         assert np.array_equal(history.val_idx, val_idx)
 
+    def test_val_loss_bits(self):
+        # 300 validation rows: float64 partial sums of 256 and 44 rows
+        rng = np.random.default_rng(14)
+        labels = [Label.QS if i % 2 else Label.AS for i in range(600)]
+        ds = build_dataset([make_subject("n1", {"e1": labels}, rng)])
+        cfg = TrainConfig(max_epochs=1, inner_val_fraction=0.5, seed=2)
+        model, history = train(ds, cfg)
+        x, y = dataset_arrays(ds)
+        assert len(history.val_idx) == 300
+        picked = np.array([nn.forward(model, x[[i]]).probs[0, y[i]]
+                           for i in history.val_idx])
+        total = 0.0
+        for start in range(0, len(picked), 256):
+            chunk = picked[start:start + 256]
+            total += float(-np.log(np.clip(chunk, 1e-12, None)).sum())
+        assert history.val_loss == [total / len(picked)]
+
     def test_history_csv_round_trip(self, tmp_path):
         ds = self.toy_dataset(n=12)
         cfg = TrainConfig(max_epochs=2, batch_size=8, seed=3)
